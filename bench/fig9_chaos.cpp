@@ -19,7 +19,7 @@
 #include "ml/config.h"
 #include "ml/synth_digits.h"
 #include "pm/device.h"
-#include "plinius/distributed.h"
+#include "plinius/fleet/fleet.h"
 #include "plinius/platform.h"
 #include "plinius/trainer.h"
 #include "romulus/romulus.h"
@@ -128,12 +128,12 @@ TierSample run_local(Fault fault, bool ssd_rung, const char* scenario,
 /// worker 0 mid-run and rots its Romulus header so its local ladder bottoms
 /// out and it re-provisions from a peer. Returns parallel wall time.
 sim::Nanos run_cluster(bool obliterate, std::uint64_t iters, std::string* tier) {
-  ClusterOptions opt;
+  fleet::FleetOptions opt;
   opt.workers = 3;
   opt.sync_every = 2;
   opt.trainer = chaos_options(/*ssd_rung=*/false);
-  DistributedTrainer cluster(MachineProfile::emlsgx_pm(), kPmBytes,
-                             ml::make_cnn_config(2, 4, 8), opt);
+  fleet::ElasticTrainer cluster(MachineProfile::emlsgx_pm(), kPmBytes,
+                                ml::make_cnn_config(2, 4, 8), opt);
   cluster.load_dataset(tiny_dataset());
   (void)cluster.train(iters / 2);
   if (obliterate) {

@@ -9,10 +9,12 @@
 //
 // With no arguments, runs a self-contained demo (train, kill, resume, eval)
 // in the current directory.
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/error.h"
@@ -164,6 +166,15 @@ void usage() {
       "  plinius_cli              (no args: self-contained demo)\n");
 }
 
+/// Parses a whole decimal iteration count; nullopt on anything else.
+std::optional<std::uint64_t> parse_iterations(const char* text) {
+  std::uint64_t value = 0;
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -171,8 +182,8 @@ int main(int argc, char** argv) {
     if (argc == 1) return demo();
     const std::string cmd = argv[1];
     if (cmd == "train" && (argc == 4 || argc == 5)) {
-      const std::uint64_t target = argc == 5 ? std::stoull(argv[4]) : 100;
-      return cmd_train(argv[2], argv[3], target);
+      const auto target = argc == 5 ? parse_iterations(argv[4]) : 100;
+      if (target) return cmd_train(argv[2], argv[3], *target);
     }
     if (cmd == "eval" && argc == 4) return cmd_eval(argv[2], argv[3]);
     if (cmd == "info" && argc == 4) return cmd_info(argv[2], argv[3]);

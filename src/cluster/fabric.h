@@ -1,21 +1,18 @@
 // Cluster fabric: the attested enclave-to-enclave transfer primitive shared
 // by every multi-enclave subsystem.
 //
-// Three subsystems move sealed model parameters between enclaves over a
-// lossy simulated network: DistributedTrainer's peer re-provision rung,
-// fleet::ElasticTrainer's rejoin path, and the serving fleet's replica
-// provisioning (serve/fleet). They all follow the same wire protocol —
-// sender seals inside its enclave, the blob crosses a bandwidth+RTT link,
-// seeded loss forces a retry after a capped jittered backoff
-// (common/backoff.h), the receiver authenticates and opens — and they must
-// all charge the *same* simulated costs in the *same* order, because
-// fleet_test asserts ElasticTrainer under zero preemption is bitwise equal
-// to DistributedTrainer. This module is that loop, extracted once.
+// Two subsystems move sealed model parameters between enclaves over a
+// lossy simulated network: fleet::ElasticTrainer's peer re-provision rung
+// and the serving fleet's replica provisioning (serve/fleet). Both follow
+// the same wire protocol — sender seals inside its enclave, the blob crosses
+// a bandwidth+RTT link, seeded loss forces a retry after a capped jittered
+// backoff (common/backoff.h), the receiver authenticates and opens. This
+// module is that loop, written once.
 //
 // The fabric deliberately depends only on sgx/ and below (no Platform, no
 // Trainer): an Endpoint is just an enclave runtime plus its clock, so the
-// core trainer, the elastic fleet, and the serving router can all hand their
-// halves in without inverting the library layering.
+// elastic fleet and the serving router can both hand their halves in without
+// inverting the library layering.
 #pragma once
 
 #include <cstdint>
@@ -73,9 +70,9 @@ struct TransferOutcome {
 /// whether the channel dropped the transfer — on a drop only the receiver
 /// waits out the backoff delay (the sender returns to its own work). On
 /// delivery the receiver's enclave authenticates and opens. The charge and
-/// RNG-draw order is a compatibility contract: DistributedTrainer and
-/// ElasticTrainer produced exactly this sequence before the extraction, and
-/// their bitwise-equivalence tests pin it.
+/// RNG-draw order is a compatibility contract: the exact simulated clocks
+/// pinned in tests/fleet_test.cpp and tests/chaos_recovery_test.cpp depend on
+/// this sequence.
 TransferOutcome transfer_sealed(const Endpoint& sender, const Endpoint& receiver,
                                 double bytes, const LinkOptions& link, Rng& net_rng,
                                 std::uint64_t backoff_seed);

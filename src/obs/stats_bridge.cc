@@ -1,7 +1,6 @@
 #include "obs/stats_bridge.h"
 
 #include "plinius/checkpoint.h"
-#include "plinius/distributed.h"
 #include "plinius/fleet/fleet.h"
 #include "plinius/mirror.h"
 #include "plinius/pm_data.h"
@@ -113,7 +112,7 @@ void publish(Registry& reg, const RecoveryReport& s, const Labels& labels) {
   reg.set_counter("recovery.rungs_failed", s.rungs_failed.size(), labels);
 }
 
-void publish(Registry& reg, const ClusterStats& s, const Labels& labels) {
+void publish(Registry& reg, const fleet::ClusterStats& s, const Labels& labels) {
   reg.set_counter("cluster.peer_provisions", s.peer_provisions, labels);
   reg.set_counter("cluster.peer_retries", s.peer_retries, labels);
   reg.set_counter("cluster.peer_provision_failures", s.peer_provision_failures,

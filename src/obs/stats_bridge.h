@@ -22,7 +22,6 @@ struct CheckpointStats;
 struct PmDataStats;
 struct ScrubReport;
 struct RecoveryReport;
-struct ClusterStats;
 }
 namespace plinius::serve {
 struct ServerStats;
@@ -33,6 +32,7 @@ struct RegistryStats;
 struct FleetServeStats;
 }
 namespace plinius::fleet {
+struct ClusterStats;
 struct FleetReport;
 }
 
@@ -53,7 +53,7 @@ void publish(Registry& reg, const CheckpointStats& s, const Labels& labels = {})
 void publish(Registry& reg, const PmDataStats& s, const Labels& labels = {});
 void publish(Registry& reg, const ScrubReport& s, const Labels& labels = {});
 void publish(Registry& reg, const RecoveryReport& s, const Labels& labels = {});
-void publish(Registry& reg, const ClusterStats& s, const Labels& labels = {});
+void publish(Registry& reg, const fleet::ClusterStats& s, const Labels& labels = {});
 void publish(Registry& reg, const serve::ServerStats& s, const Labels& labels = {});
 void publish(Registry& reg, const serve::fleet::RouterStats& s, const Labels& labels = {});
 void publish(Registry& reg, const serve::fleet::RegistryStats& s, const Labels& labels = {});

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/error.h"
 #include "obs/stats_bridge.h"
@@ -38,12 +39,32 @@ const char* to_string(RoundPhase phase) noexcept {
   return "?";
 }
 
+std::vector<ml::Dataset> shard_round_robin(const ml::Dataset& data,
+                                           std::size_t workers) {
+  data.validate();
+  expects(workers >= 1, "shard_round_robin: need at least one worker");
+  expects(data.size() >= workers, "shard_round_robin: dataset too small");
+  std::vector<ml::Dataset> shards(workers);
+  const std::size_t per_worker = data.size() / workers;
+  for (std::size_t w = 0; w < workers; ++w) {
+    auto& shard = shards[w];
+    shard.x = ml::Matrix(per_worker, data.x.cols);
+    shard.y = ml::Matrix(per_worker, data.y.cols);
+    for (std::size_t r = 0; r < per_worker; ++r) {
+      const std::size_t src = r * workers + w;
+      std::memcpy(shard.x.row(r), data.x.row(src), data.x.cols * sizeof(float));
+      std::memcpy(shard.y.row(r), data.y.row(src), data.y.cols * sizeof(float));
+    }
+  }
+  return shards;
+}
+
 ElasticTrainer::ElasticTrainer(const MachineProfile& profile,
                                std::size_t pm_bytes_per_worker,
                                const ml::ModelConfig& config, FleetOptions options)
     : config_(config),
       options_(std::move(options)),
-      net_rng_(options_.peer_net_seed),
+      net_rng_(options_.link.net_seed),
       gossip_rng_(options_.fleet_seed) {
   expects(options_.workers >= 1, "ElasticTrainer: need at least one worker");
   expects(options_.sync_every >= 1, "ElasticTrainer: sync_every must be >= 1");
@@ -59,8 +80,7 @@ ElasticTrainer::ElasticTrainer(const MachineProfile& profile,
   losses_.resize(options_.workers);
   report_.workers.resize(options_.workers);
   for (std::size_t w = 0; w < options_.workers; ++w) {
-    // Distinct platform seeds, identical to DistributedTrainer's: kBarrier
-    // with zero preemption is bitwise equivalent to it.
+    // Distinct platform seeds: independent machines with their own fused keys.
     platforms_.push_back(std::make_unique<Platform>(profile, pm_bytes_per_worker,
                                                     0x5367E0ULL + w));
     sources_.emplace_back(options_.preemption, w);
@@ -101,7 +121,7 @@ ml::Network& ElasticTrainer::network(std::size_t w) {
 
 Trainer& ElasticTrainer::trainer(std::size_t w) {
   expects(w < trainers_.size(), "ElasticTrainer: bad worker index");
-  if (!alive_[w]) revive_worker(w, round_counter_, nullptr);
+  if (!alive_[w]) revive_worker(w, nullptr);
   return *trainers_[w];
 }
 
@@ -148,9 +168,7 @@ void ElasticTrainer::preempt_kill(std::size_t w, std::uint64_t round) {
   }
 }
 
-void ElasticTrainer::revive_worker(std::size_t w, std::uint64_t round,
-                                   RoundLog* log) {
-  (void)round;
+void ElasticTrainer::revive_worker(std::size_t w, RoundLog* log) {
   // The machine was off but the wall clock was not: bring its clock up to
   // the fleet's present before charging recovery work.
   const sim::Nanos now = elapsed_ns();
@@ -202,7 +220,7 @@ bool ElasticTrainer::reprovision_from_peer(std::size_t w) {
   ClusterStats& stats = report_.cluster;
   const auto param_bytes =
       static_cast<double>(trainers_[w]->network().parameter_bytes());
-  const cluster::LinkOptions link = options_.peer_link();
+  const cluster::LinkOptions& link = options_.link;
   const cluster::TransferOutcome outcome = cluster::transfer_sealed(
       {&platforms_[peer]->enclave(), &platforms_[peer]->clock()},
       {&platforms_[w]->enclave(), &platforms_[w]->clock()}, param_bytes, link,
@@ -242,7 +260,7 @@ void ElasticTrainer::refresh_membership(std::uint64_t round, RoundLog& log) {
     if (alive_[w] && !want_up) {
       preempt_kill(w, round);
     } else if (!alive_[w] && want_up) {
-      revive_worker(w, round, &log);
+      revive_worker(w, &log);
     }
   }
 }
@@ -288,8 +306,7 @@ void ElasticTrainer::align_clocks(const std::vector<std::size_t>& ws) {
 
 void ElasticTrainer::charge_exchange(const std::vector<std::size_t>& ws) {
   // Ring all-reduce of the sealed parameter blob among the participants:
-  // each sends/receives 2*(n-1)/n of the model, encrypted enclave-to-enclave
-  // (identical to DistributedTrainer's charge when every worker is live).
+  // each sends/receives 2*(n-1)/n of the model, encrypted enclave-to-enclave.
   const std::size_t n = ws.size();
   const auto param_bytes =
       static_cast<double>(trainers_[ws.front()]->network().parameter_bytes());
@@ -298,14 +315,13 @@ void ElasticTrainer::charge_exchange(const std::vector<std::size_t>& ws) {
   for (const std::size_t w : ws) {
     auto& platform = *platforms_[w];
     platform.enclave().charge_crypto(static_cast<std::size_t>(wire_bytes));
-    platform.clock().advance(sim::bandwidth_ns(wire_bytes, options_.network_gib_s) +
-                             2.0 * static_cast<double>(n - 1) * options_.rtt_ns);
+    platform.clock().advance(sim::bandwidth_ns(wire_bytes, options_.link.network_gib_s) +
+                             2.0 * static_cast<double>(n - 1) * options_.link.rtt_ns);
   }
 }
 
 void ElasticTrainer::average_plain(const std::vector<std::size_t>& ws) {
-  // Bit-identical to DistributedTrainer::average_parameters when ws is the
-  // full worker set: accumulate into the first participant, scale, copy.
+  // Accumulate into the first participant, scale, copy back out.
   const std::size_t n = ws.size();
   ml::Network& first_net = trainers_[ws.front()]->network();
   const std::size_t layers = first_net.num_layers();
@@ -384,11 +400,12 @@ void ElasticTrainer::gossip_exchange(std::uint64_t round, RoundLog& log,
     for (const std::size_t w : {a, b}) {
       platforms_[w]->enclave().charge_crypto(static_cast<std::size_t>(param_bytes));
       platforms_[w]->clock().advance(
-          sim::bandwidth_ns(param_bytes, options_.network_gib_s) + options_.rtt_ns);
+          sim::bandwidth_ns(param_bytes, options_.link.network_gib_s) +
+          options_.link.rtt_ns);
     }
     align_clocks({a, b});
   }
-  run_phase_hook(round, RoundPhase::kMidExchange, log);
+  run_phase_hook(round, RoundPhase::kMidExchange);
   for (const auto& [a, b] : pairs) {
     if (!alive_[a] || !alive_[b]) continue;  // killed mid-exchange: dropped
     const std::vector<std::size_t> pair{a, b};
@@ -405,9 +422,7 @@ void ElasticTrainer::gossip_exchange(std::uint64_t round, RoundLog& log,
   }
 }
 
-void ElasticTrainer::run_phase_hook(std::uint64_t round, RoundPhase phase,
-                                    RoundLog& log) {
-  (void)log;
+void ElasticTrainer::run_phase_hook(std::uint64_t round, RoundPhase phase) {
   if (phase_hook_) phase_hook_(round, phase);
 }
 
@@ -424,7 +439,7 @@ void ElasticTrainer::persist_live_mirrors() {
 }
 
 void ElasticTrainer::sync_round(std::uint64_t round, RoundLog& log) {
-  run_phase_hook(round, RoundPhase::kPreExchange, log);
+  run_phase_hook(round, RoundPhase::kPreExchange);
 
   std::vector<bool> folded(workers(), false);
   if (options_.policy == SyncPolicy::kGossip) {
@@ -438,7 +453,7 @@ void ElasticTrainer::sync_round(std::uint64_t round, RoundLog& log) {
       if (options_.policy == SyncPolicy::kBoundedStaleness) {
         align_clocks(participants);
       }
-      run_phase_hook(round, RoundPhase::kMidExchange, log);
+      run_phase_hook(round, RoundPhase::kMidExchange);
       // A worker killed during the exchange contributes nothing.
       std::erase_if(participants, [&](std::size_t w) { return !alive_[w]; });
       if (participants.size() >= 2) {
@@ -458,7 +473,7 @@ void ElasticTrainer::sync_round(std::uint64_t round, RoundLog& log) {
     }
   }
 
-  run_phase_hook(round, RoundPhase::kPostAverage, log);
+  run_phase_hook(round, RoundPhase::kPostAverage);
   persist_live_mirrors();
 
   // A worker that is up but sat the average out (too stale, or gossip's odd

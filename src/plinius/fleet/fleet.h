@@ -1,16 +1,17 @@
 // Elastic preemptible-fleet training: the spot simulator (§VI, Fig. 10)
 // merged with distributed data-parallel training (§VIII future work).
 //
-// DistributedTrainer runs N workers in a lockstep barrier and assumes every
-// worker is always alive; the spot simulator preempts exactly one machine.
-// ElasticTrainer is the production merge: every worker owns an independent
+// ElasticTrainer is Plinius' data-parallel trainer: N workers, each a
+// full Plinius stack (its own enclave, PM device, mirror and encrypted data
+// shard), run `sync_every` local iterations and then average parameters over
+// sealed enclave-to-enclave links. Every worker owns an independent
 // preemption source (per-node spot-price replay or a seeded chaos/media-
-// fault schedule — see preemption.h), membership is re-evaluated between
-// averaging rounds, and the hard barrier is a pluggable sync policy:
+// fault schedule — see preemption.h; none by default), membership is
+// re-evaluated between averaging rounds, and the sync policy is pluggable:
 //
-//   * kBarrier — the DistributedTrainer behavior: all live workers wait for
-//     the slowest and plain-average. With zero preemption this reproduces
-//     DistributedTrainer's loss trajectory bitwise on the same seed.
+//   * kBarrier (default) — all live workers wait for the slowest and
+//     plain-average; with no preemption this is classic lockstep
+//     data-parallel training.
 //   * kBoundedStaleness — a worker whose model is at most
 //     `staleness_bound * sync_every` iterations behind the live frontier
 //     still folds into the average, weighted 1/(1+lag_rounds); a worker
@@ -44,7 +45,6 @@
 #include "ml/config.h"
 #include "ml/data.h"
 #include "obs/registry.h"
-#include "plinius/distributed.h"  // ClusterStats, shard_round_robin
 #include "plinius/fleet/preemption.h"
 #include "plinius/platform.h"
 #include "plinius/trainer.h"
@@ -66,12 +66,19 @@ enum class RoundPhase {
 
 [[nodiscard]] const char* to_string(RoundPhase phase) noexcept;
 
+/// Round-robin data-parallel sharding: record r of shard w is record
+/// r*workers+w of `data`; the `size % workers` tail is dropped.
+[[nodiscard]] std::vector<ml::Dataset> shard_round_robin(const ml::Dataset& data,
+                                                         std::size_t workers);
+
 struct FleetOptions {
   std::size_t workers = 2;
   std::size_t sync_every = 8;   // local iterations between averaging rounds
-  double network_gib_s = 1.16;  // ~10 GbE inter-node links
-  sim::Nanos rtt_ns = 60000.0;  // per exchange step
   TrainerOptions trainer;       // per-worker configuration
+  // Inter-node links (~10 GbE by default). Bandwidth and RTT price the
+  // averaging exchange; the loss, retry and backoff fields govern the peer
+  // re-provision transfer (cluster/fabric.h).
+  cluster::LinkOptions link;
 
   SyncPolicy policy = SyncPolicy::kBarrier;
   // kBoundedStaleness: maximum lag, in averaging rounds' worth of
@@ -90,29 +97,17 @@ struct FleetOptions {
   PreemptionOptions preemption;  // per-worker kill/revive schedule
   std::uint64_t fleet_seed = 0xF1EE7C;  // gossip pairing determinism
 
-  // Peer re-provisioning (the recovery ladder's bottom rung), as in
-  // ClusterOptions but with the hardened backoff knobs.
+  // Peer re-provisioning (the recovery ladder's bottom rung): a revived
+  // worker whose local ladder ends in a fresh start pulls the current
+  // parameters from the most-advanced live peer over `link`.
   bool peer_provision = true;
-  double peer_loss_rate = 0.0;
-  std::size_t peer_retries = 5;
-  sim::Nanos peer_backoff_ns = 1.0e6;
-  sim::Nanos peer_backoff_cap_ns = 1.0e9;
-  double peer_backoff_jitter = 0.1;
-  std::uint64_t peer_net_seed = 0x9E77;
+};
 
-  /// The peer-provision knobs as a cluster-fabric link (cluster/fabric.h).
-  [[nodiscard]] cluster::LinkOptions peer_link() const {
-    cluster::LinkOptions link;
-    link.network_gib_s = network_gib_s;
-    link.rtt_ns = rtt_ns;
-    link.loss_rate = peer_loss_rate;
-    link.retries = peer_retries;
-    link.backoff.initial_ns = peer_backoff_ns;
-    link.backoff.cap_ns = peer_backoff_cap_ns;
-    link.backoff.jitter = peer_backoff_jitter;
-    link.net_seed = peer_net_seed;
-    return link;
-  }
+struct ClusterStats {
+  std::uint64_t peer_provisions = 0;       // workers re-provisioned from a peer
+  std::uint64_t peer_retries = 0;          // sealed transfers the channel dropped
+  std::uint64_t peer_provision_failures = 0;  // retry budget exhausted
+  std::uint64_t peer_backoff_capped = 0;   // retry delays clamped at the cap
 };
 
 /// One averaging round's structured log line.
@@ -164,9 +159,8 @@ struct FleetReport {
 class ElasticTrainer {
  public:
   /// Builds `options.workers` independent platforms with `profile`,
-  /// `pm_bytes_per_worker` of PM each. Platform seeds match
-  /// DistributedTrainer's, so kBarrier + zero preemption is bitwise
-  /// equivalent to it.
+  /// `pm_bytes_per_worker` of PM each, with distinct fused-key seeds and
+  /// identical initial weights (as after a broadcast of the initial model).
   ElasticTrainer(const MachineProfile& profile, std::size_t pm_bytes_per_worker,
                  const ml::ModelConfig& config, FleetOptions options);
   ~ElasticTrainer();
@@ -174,8 +168,7 @@ class ElasticTrainer {
   ElasticTrainer(const ElasticTrainer&) = delete;
   ElasticTrainer& operator=(const ElasticTrainer&) = delete;
 
-  /// Shards the dataset round-robin across the workers' PM devices
-  /// (identical shards to DistributedTrainer's).
+  /// Shards the dataset round-robin across the workers' PM devices.
   void load_dataset(const ml::Dataset& data);
 
   /// Runs averaging rounds until every worker has seen `target_iterations`
@@ -194,7 +187,7 @@ class ElasticTrainer {
   [[nodiscard]] std::size_t workers() const noexcept { return platforms_.size(); }
 
   /// Access revives a dead worker on the spot (running its recovery ladder),
-  /// mirroring DistributedTrainer's lazily-reconstructing accessors.
+  /// so a killed worker can be inspected right after it rejoins.
   [[nodiscard]] ml::Network& network(std::size_t w);
   [[nodiscard]] Trainer& trainer(std::size_t w);
 
@@ -228,9 +221,9 @@ class ElasticTrainer {
   void build_worker(std::size_t w);  // initial construction (ctor only)
   void refresh_membership(std::uint64_t round, RoundLog& log);
   void preempt_kill(std::size_t w, std::uint64_t round);
-  void revive_worker(std::size_t w, std::uint64_t round, RoundLog* log);
+  void revive_worker(std::size_t w, RoundLog* log);
   bool reprovision_from_peer(std::size_t w);
-  void run_phase_hook(std::uint64_t round, RoundPhase phase, RoundLog& log);
+  void run_phase_hook(std::uint64_t round, RoundPhase phase);
   void sync_round(std::uint64_t round, RoundLog& log);
   /// Live workers eligible to fold into this round's average under the
   /// configured policy.
@@ -262,7 +255,7 @@ class ElasticTrainer {
   // revival detail; npos when none.
   std::vector<std::size_t> open_kill_;
   std::vector<std::vector<float>> losses_;
-  Rng net_rng_;     // lossy peer channel (matches DistributedTrainer's)
+  Rng net_rng_;     // lossy peer channel
   Rng gossip_rng_;  // pairing shuffles
   FleetReport report_;
   PhaseHook phase_hook_;

@@ -176,7 +176,7 @@ class Trainer {
   ScrubReport scrub(const ScrubOptions& options = {});
 
   /// Marks this trainer as recovered from a peer at `iteration` (set by
-  /// DistributedTrainer after re-provisioning parameters over the attested
+  /// fleet::ElasticTrainer after re-provisioning parameters over the attested
   /// channel); persists the episode in the recovery log.
   void note_peer_recovery(std::uint64_t iteration);
 

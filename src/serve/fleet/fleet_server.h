@@ -11,7 +11,7 @@
 //     owner), receives the data key over the derived channel, and is then
 //     re-provisioned the current stable weights over the attested link via
 //     the shared cluster fabric (cluster/fabric.h, the same transfer +
-//     BackoffSchedule retry path DistributedTrainer uses);
+//     BackoffSchedule retry path fleet::ElasticTrainer uses);
 //   * the Router (least-loaded / consistent-hash, per-tenant SLO classes)
 //     and the Autoscaler closing the loop on published router.* gauges.
 //
@@ -258,7 +258,7 @@ class ServingFleet {
 
   std::unique_ptr<Router> router_;
   Autoscaler autoscaler_;
-  Rng net_rng_;  // shared lossy-link randomness, like DistributedTrainer's
+  Rng net_rng_;  // shared lossy-link randomness, like ElasticTrainer's
 
   RolloutPhase phase_ = RolloutPhase::kIdle;
   std::uint64_t stable_version_ = 0;

@@ -17,7 +17,7 @@
 #include "ml/config.h"
 #include "ml/synth_digits.h"
 #include "pm/device.h"
-#include "plinius/distributed.h"
+#include "plinius/fleet/fleet.h"
 #include "plinius/platform.h"
 #include "plinius/trainer.h"
 #include "romulus/romulus.h"
@@ -378,20 +378,20 @@ TEST(ChaosRecovery, SweepCorruptionByCrashGrid) {
 
 class ChaosDistributed : public ::testing::Test {
  protected:
-  ClusterOptions cluster_options(double loss, bool provision = true) {
-    ClusterOptions opt;
+  fleet::FleetOptions cluster_options(double loss, bool provision = true) {
+    fleet::FleetOptions opt;
     opt.workers = 3;
     opt.sync_every = 2;
     opt.trainer = chaos_options(/*ssd_rung=*/false);
     opt.peer_provision = provision;
-    opt.peer_loss_rate = loss;
-    opt.peer_retries = 8;
+    opt.link.loss_rate = loss;
+    opt.link.retries = 8;
     return opt;
   }
 
   /// Kills worker 0 and rots its region header so its local ladder bottoms
   /// out in a fresh start (region reformat, all local state gone).
-  static void obliterate_worker0(DistributedTrainer& cluster) {
+  static void obliterate_worker0(fleet::ElasticTrainer& cluster) {
     auto& dev = cluster.trainer(0).platform().pm();
     cluster.kill_worker(0);
     dev.flip_bit(1, 4);
@@ -400,8 +400,8 @@ class ChaosDistributed : public ::testing::Test {
 };
 
 TEST_F(ChaosDistributed, LadderBottomPullsParametersFromPeer) {
-  DistributedTrainer cluster(MachineProfile::emlsgx_pm(), 48u << 20, tiny_config(),
-                             cluster_options(/*loss=*/0.0));
+  fleet::ElasticTrainer cluster(MachineProfile::emlsgx_pm(), 48u << 20,
+                                tiny_config(), cluster_options(/*loss=*/0.0));
   cluster.load_dataset(tiny_dataset(48));
   cluster.train(4);
   obliterate_worker0(cluster);
@@ -414,8 +414,8 @@ TEST_F(ChaosDistributed, LadderBottomPullsParametersFromPeer) {
 }
 
 TEST_F(ChaosDistributed, LossyChannelRetriesWithBackoff) {
-  DistributedTrainer cluster(MachineProfile::emlsgx_pm(), 48u << 20, tiny_config(),
-                             cluster_options(/*loss=*/0.9));
+  fleet::ElasticTrainer cluster(MachineProfile::emlsgx_pm(), 48u << 20,
+                                tiny_config(), cluster_options(/*loss=*/0.9));
   cluster.load_dataset(tiny_dataset(48));
   cluster.train(4);
   obliterate_worker0(cluster);
@@ -428,11 +428,16 @@ TEST_F(ChaosDistributed, LossyChannelRetriesWithBackoff) {
   EXPECT_EQ(cluster.stats().peer_provisions + cluster.stats().peer_provision_failures,
             1u);
   EXPECT_EQ(cluster.network(0).iterations(), 8u);
+  // The seeded episode is pinned exactly: three drops, each paying its wire
+  // time and jittered backoff, keep the cluster fabric's charge and RNG-draw
+  // order under test.
+  EXPECT_EQ(cluster.stats().peer_retries, 3u);
+  EXPECT_DOUBLE_EQ(cluster.elapsed_ns(), 11908829.35305975);
 }
 
 TEST_F(ChaosDistributed, DeadChannelExhaustsRetriesAndKeepsFreshStart) {
-  DistributedTrainer cluster(MachineProfile::emlsgx_pm(), 48u << 20, tiny_config(),
-                             cluster_options(/*loss=*/1.0));
+  fleet::ElasticTrainer cluster(MachineProfile::emlsgx_pm(), 48u << 20,
+                                tiny_config(), cluster_options(/*loss=*/1.0));
   cluster.load_dataset(tiny_dataset(48));
   cluster.train(4);
   obliterate_worker0(cluster);
@@ -448,8 +453,9 @@ TEST_F(ChaosDistributed, DeadChannelExhaustsRetriesAndKeepsFreshStart) {
 }
 
 TEST_F(ChaosDistributed, ProvisioningDisabledKeepsFreshStart) {
-  DistributedTrainer cluster(MachineProfile::emlsgx_pm(), 48u << 20, tiny_config(),
-                             cluster_options(/*loss=*/0.0, /*provision=*/false));
+  fleet::ElasticTrainer cluster(
+      MachineProfile::emlsgx_pm(), 48u << 20, tiny_config(),
+      cluster_options(/*loss=*/0.0, /*provision=*/false));
   cluster.load_dataset(tiny_dataset(48));
   cluster.train(4);
   obliterate_worker0(cluster);
