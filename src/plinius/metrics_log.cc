@@ -1,63 +1,85 @@
 #include "plinius/metrics_log.h"
 
+#include <string>
+
 #include "common/error.h"
 
 namespace plinius {
 
-MetricsLog::MetricsLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave)
-    : rom_(&rom), enclave_(&enclave) {}
-
-bool MetricsLog::exists() const {
-  const std::uint64_t off = rom_->root(kRootSlot);
-  return off != 0 && rom_->read<std::uint64_t>(off) == kMagic;
+template <class Record>
+bool PmRecordLog<Record>::exists() const {
+  const std::uint64_t off = rom_->root(slot_);
+  return off != 0 && rom_->read<std::uint64_t>(off) == magic_;
 }
 
-MetricsLog::Header MetricsLog::header() const {
-  expects(exists(), "MetricsLog: no log in PM");
-  return rom_->read<Header>(rom_->root(kRootSlot));
+template <class Record>
+typename PmRecordLog<Record>::Header PmRecordLog<Record>::header() const {
+  if (!exists()) throw Error(std::string("precondition violated: ") + name_ + ": no log in PM");
+  const auto hdr = rom_->read<Header>(rom_->root(slot_));
+  rom_->check_table(name_, hdr.entries_off, hdr.capacity, hdr.count, sizeof(Record));
+  return hdr;
 }
 
-void MetricsLog::create(std::size_t capacity) {
-  if (exists()) throw PmError("MetricsLog::create: log already exists");
-  expects(capacity > 0, "MetricsLog: capacity must be positive");
+template <class Record>
+void PmRecordLog<Record>::create(std::size_t capacity) {
+  if (exists()) throw PmError(std::string(name_) + "::create: log already exists");
+  if (capacity == 0) {
+    throw Error(std::string("precondition violated: ") + name_ +
+                ": capacity must be positive");
+  }
   rom_->run_transaction([&] {
-    Header hdr{kMagic, capacity, 0, 0};
-    hdr.entries_off = rom_->pmalloc(capacity * sizeof(MetricsEntry));
+    Header hdr{magic_, capacity, 0, 0};
+    hdr.entries_off = rom_->pmalloc(capacity * sizeof(Record));
     const std::size_t hdr_off = rom_->pmalloc(sizeof(Header));
     rom_->tx_store(hdr_off, &hdr, sizeof(hdr));
-    rom_->set_root(kRootSlot, hdr_off);
+    rom_->set_root(slot_, hdr_off);
   });
 }
 
-void MetricsLog::append(const MetricsEntry& entry) {
-  const Header hdr = header();
-  if (hdr.count >= hdr.capacity) throw PmError("MetricsLog: log is full");
+template <class Record>
+void PmRecordLog<Record>::append_record(const Record& record, bool compact) {
+  Header hdr = header();
+  if (!compact && hdr.count >= hdr.capacity) {
+    throw PmError(std::string(name_) + ": log is full");
+  }
   rom_->run_transaction([&] {
-    rom_->tx_store(hdr.entries_off + hdr.count * sizeof(MetricsEntry), &entry,
-                   sizeof(entry));
-    rom_->tx_assign(rom_->root(kRootSlot) + offsetof(Header, count), hdr.count + 1);
+    if (hdr.count >= hdr.capacity) {
+      // Compact: keep the newest half.
+      const std::uint64_t keep = hdr.capacity / 2;
+      const std::uint64_t drop = hdr.count - keep;
+      for (std::uint64_t i = 0; i < keep; ++i) {
+        const auto e = rom_->read<Record>(hdr.entries_off + (drop + i) * sizeof(Record));
+        rom_->tx_store(hdr.entries_off + i * sizeof(Record), &e, sizeof(e));
+      }
+      hdr.count = keep;
+    }
+    rom_->tx_store(hdr.entries_off + hdr.count * sizeof(Record), &record, sizeof(record));
+    rom_->tx_assign(rom_->root(slot_) + offsetof(Header, count), hdr.count + 1);
   });
 }
 
-std::size_t MetricsLog::size() const { return header().count; }
-std::size_t MetricsLog::capacity() const { return header().capacity; }
-
-MetricsEntry MetricsLog::at(std::size_t index) const {
+template <class Record>
+Record PmRecordLog<Record>::at(std::size_t index) const {
   const Header hdr = header();
-  if (index >= hdr.count) throw PmError("MetricsLog::at: index out of range");
-  rom_->device().charge_read(sizeof(MetricsEntry));
-  return rom_->read<MetricsEntry>(hdr.entries_off + index * sizeof(MetricsEntry));
+  if (index >= hdr.count) throw PmError(std::string(name_) + "::at: index out of range");
+  rom_->device().charge_read(sizeof(Record));
+  return rom_->read<Record>(hdr.entries_off + index * sizeof(Record));
 }
 
-std::vector<MetricsEntry> MetricsLog::all() const {
+template <class Record>
+std::vector<Record> PmRecordLog<Record>::all() const {
   const Header hdr = header();
-  rom_->device().charge_read(hdr.count * sizeof(MetricsEntry));
-  std::vector<MetricsEntry> out(hdr.count);
+  rom_->device().charge_read(hdr.count * sizeof(Record));
+  std::vector<Record> out(hdr.count);
   for (std::uint64_t i = 0; i < hdr.count; ++i) {
-    out[i] = rom_->read<MetricsEntry>(hdr.entries_off + i * sizeof(MetricsEntry));
+    out[i] = rom_->read<Record>(hdr.entries_off + i * sizeof(Record));
   }
   return out;
 }
+
+template class PmRecordLog<MetricsEntry>;
+template class PmRecordLog<RecoveryRecord>;
+template class PmRecordLog<ServeWindowRecord>;
 
 void MetricsLog::truncate_after(std::uint64_t iteration) {
   const Header hdr = header();
@@ -72,139 +94,6 @@ void MetricsLog::truncate_after(std::uint64_t iteration) {
   rom_->run_transaction([&] {
     rom_->tx_assign(rom_->root(kRootSlot) + offsetof(Header, count), keep);
   });
-}
-
-RecoveryLog::RecoveryLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave)
-    : rom_(&rom), enclave_(&enclave) {}
-
-bool RecoveryLog::exists() const {
-  const std::uint64_t off = rom_->root(kRootSlot);
-  return off != 0 && rom_->read<std::uint64_t>(off) == kMagic;
-}
-
-RecoveryLog::Header RecoveryLog::header() const {
-  expects(exists(), "RecoveryLog: no log in PM");
-  return rom_->read<Header>(rom_->root(kRootSlot));
-}
-
-void RecoveryLog::create(std::size_t capacity) {
-  if (exists()) throw PmError("RecoveryLog::create: log already exists");
-  expects(capacity > 0, "RecoveryLog: capacity must be positive");
-  rom_->run_transaction([&] {
-    Header hdr{kMagic, capacity, 0, 0};
-    hdr.entries_off = rom_->pmalloc(capacity * sizeof(RecoveryRecord));
-    const std::size_t hdr_off = rom_->pmalloc(sizeof(Header));
-    rom_->tx_store(hdr_off, &hdr, sizeof(hdr));
-    rom_->set_root(kRootSlot, hdr_off);
-  });
-}
-
-void RecoveryLog::append(const RecoveryRecord& record) {
-  Header hdr = header();
-  rom_->run_transaction([&] {
-    if (hdr.count >= hdr.capacity) {
-      // Compact: keep the newest half. Recovery must never fail because its
-      // own paper trail ran out of space.
-      const std::uint64_t keep = hdr.capacity / 2;
-      const std::uint64_t drop = hdr.count - keep;
-      for (std::uint64_t i = 0; i < keep; ++i) {
-        const auto e = rom_->read<RecoveryRecord>(hdr.entries_off +
-                                                  (drop + i) * sizeof(RecoveryRecord));
-        rom_->tx_store(hdr.entries_off + i * sizeof(RecoveryRecord), &e, sizeof(e));
-      }
-      hdr.count = keep;
-    }
-    rom_->tx_store(hdr.entries_off + hdr.count * sizeof(RecoveryRecord), &record,
-                   sizeof(record));
-    rom_->tx_assign(rom_->root(kRootSlot) + offsetof(Header, count), hdr.count + 1);
-  });
-}
-
-std::size_t RecoveryLog::size() const { return header().count; }
-std::size_t RecoveryLog::capacity() const { return header().capacity; }
-
-RecoveryRecord RecoveryLog::at(std::size_t index) const {
-  const Header hdr = header();
-  if (index >= hdr.count) throw PmError("RecoveryLog::at: index out of range");
-  rom_->device().charge_read(sizeof(RecoveryRecord));
-  return rom_->read<RecoveryRecord>(hdr.entries_off + index * sizeof(RecoveryRecord));
-}
-
-std::vector<RecoveryRecord> RecoveryLog::all() const {
-  const Header hdr = header();
-  rom_->device().charge_read(hdr.count * sizeof(RecoveryRecord));
-  std::vector<RecoveryRecord> out(hdr.count);
-  for (std::uint64_t i = 0; i < hdr.count; ++i) {
-    out[i] = rom_->read<RecoveryRecord>(hdr.entries_off + i * sizeof(RecoveryRecord));
-  }
-  return out;
-}
-
-ServeLog::ServeLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave)
-    : rom_(&rom), enclave_(&enclave) {}
-
-bool ServeLog::exists() const {
-  const std::uint64_t off = rom_->root(kRootSlot);
-  return off != 0 && rom_->read<std::uint64_t>(off) == kMagic;
-}
-
-ServeLog::Header ServeLog::header() const {
-  expects(exists(), "ServeLog: no log in PM");
-  return rom_->read<Header>(rom_->root(kRootSlot));
-}
-
-void ServeLog::create(std::size_t capacity) {
-  if (exists()) throw PmError("ServeLog::create: log already exists");
-  expects(capacity > 0, "ServeLog: capacity must be positive");
-  rom_->run_transaction([&] {
-    Header hdr{kMagic, capacity, 0, 0};
-    hdr.entries_off = rom_->pmalloc(capacity * sizeof(ServeWindowRecord));
-    const std::size_t hdr_off = rom_->pmalloc(sizeof(Header));
-    rom_->tx_store(hdr_off, &hdr, sizeof(hdr));
-    rom_->set_root(kRootSlot, hdr_off);
-  });
-}
-
-void ServeLog::append(const ServeWindowRecord& record) {
-  Header hdr = header();
-  rom_->run_transaction([&] {
-    if (hdr.count >= hdr.capacity) {
-      // Compact: keep the newest half — serving never stalls on telemetry.
-      const std::uint64_t keep = hdr.capacity / 2;
-      const std::uint64_t drop = hdr.count - keep;
-      for (std::uint64_t i = 0; i < keep; ++i) {
-        const auto e = rom_->read<ServeWindowRecord>(
-            hdr.entries_off + (drop + i) * sizeof(ServeWindowRecord));
-        rom_->tx_store(hdr.entries_off + i * sizeof(ServeWindowRecord), &e, sizeof(e));
-      }
-      hdr.count = keep;
-    }
-    rom_->tx_store(hdr.entries_off + hdr.count * sizeof(ServeWindowRecord), &record,
-                   sizeof(record));
-    rom_->tx_assign(rom_->root(kRootSlot) + offsetof(Header, count), hdr.count + 1);
-  });
-}
-
-std::size_t ServeLog::size() const { return header().count; }
-std::size_t ServeLog::capacity() const { return header().capacity; }
-
-ServeWindowRecord ServeLog::at(std::size_t index) const {
-  const Header hdr = header();
-  if (index >= hdr.count) throw PmError("ServeLog::at: index out of range");
-  rom_->device().charge_read(sizeof(ServeWindowRecord));
-  return rom_->read<ServeWindowRecord>(hdr.entries_off +
-                                       index * sizeof(ServeWindowRecord));
-}
-
-std::vector<ServeWindowRecord> ServeLog::all() const {
-  const Header hdr = header();
-  rom_->device().charge_read(hdr.count * sizeof(ServeWindowRecord));
-  std::vector<ServeWindowRecord> out(hdr.count);
-  for (std::uint64_t i = 0; i < hdr.count; ++i) {
-    out[i] =
-        rom_->read<ServeWindowRecord>(hdr.entries_off + i * sizeof(ServeWindowRecord));
-  }
-  return out;
 }
 
 std::uint64_t ServeLog::next_window() const {

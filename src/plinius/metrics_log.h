@@ -28,43 +28,60 @@ struct MetricsEntry {
   float learning_rate;
 };
 
-class MetricsLog {
+/// Fixed-capacity, append-only table of plaintext `Record`s under one root
+/// slot: the PM layout shared by MetricsLog, RecoveryLog and ServeLog. Every
+/// update is one durable Romulus transaction; the header is validated on
+/// every read (count <= capacity, the entry table inside main), so a forged
+/// header fails closed with PmError.
+template <class Record>
+class PmRecordLog {
  public:
-  static constexpr int kRootSlot = pm::kMetricsLogRootSlot;
-
-  MetricsLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave);
-
   [[nodiscard]] bool exists() const;
-
   /// Creates the log with a fixed capacity (one durable transaction).
   void create(std::size_t capacity);
+  [[nodiscard]] std::size_t size() const { return header().count; }
+  [[nodiscard]] std::size_t capacity() const { return header().capacity; }
+  [[nodiscard]] Record at(std::size_t index) const;
+  [[nodiscard]] std::vector<Record> all() const;
 
-  /// Appends one entry (durable transaction). Throws PmError when full.
-  void append(const MetricsEntry& entry);
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const;
-  [[nodiscard]] MetricsEntry at(std::size_t index) const;
-  [[nodiscard]] std::vector<MetricsEntry> all() const;
-
-  /// Drops every entry with iteration > `iteration` — used after a crash to
-  /// reconcile the log with the restored mirror (entries from iterations
-  /// whose mirror-out never committed are stale).
-  void truncate_after(std::uint64_t iteration);
-
- private:
+ protected:
   struct Header {
     std::uint64_t magic;
     std::uint64_t capacity;
     std::uint64_t count;
     std::uint64_t entries_off;
   };
-  static constexpr std::uint64_t kMagic = 0x504C4D4554524943ULL;  // "PLMETRIC"
+
+  PmRecordLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave, const char* name,
+              int slot, std::uint64_t magic)
+      : rom_(&rom), enclave_(&enclave), name_(name), slot_(slot), magic_(magic) {}
 
   [[nodiscard]] Header header() const;
+  /// Appends one record in a durable transaction. A full log throws PmError,
+  /// or with `compact` first drops its oldest half.
+  void append_record(const Record& record, bool compact);
 
   romulus::Romulus* rom_;
   sgx::EnclaveRuntime* enclave_;
+  const char* name_;
+  int slot_;
+  std::uint64_t magic_;
+};
+
+class MetricsLog : public PmRecordLog<MetricsEntry> {
+ public:
+  static constexpr int kRootSlot = pm::kMetricsLogRootSlot;
+
+  MetricsLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave)
+      : PmRecordLog(rom, enclave, "MetricsLog", kRootSlot, 0x504C4D4554524943ULL) {}  // "PLMETRIC"
+
+  /// Appends one entry (durable transaction). Throws PmError when full.
+  void append(const MetricsEntry& entry) { append_record(entry, /*compact=*/false); }
+
+  /// Drops every entry with iteration > `iteration` — used after a crash to
+  /// reconcile the log with the restored mirror (entries from iterations
+  /// whose mirror-out never committed are stale).
+  void truncate_after(std::uint64_t iteration);
 };
 
 /// One recovery episode, as persisted by the trainer's recovery ladder
@@ -85,35 +102,16 @@ struct RecoveryRecord {
 /// documents (unless the region itself is reformatted, which the next
 /// record's kReformatted flag then admits). Same Romulus transaction
 /// machinery as MetricsLog, separate root slot.
-class RecoveryLog {
+class RecoveryLog : public PmRecordLog<RecoveryRecord> {
  public:
   static constexpr int kRootSlot = pm::kRecoveryLogRootSlot;
 
-  RecoveryLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave);
+  RecoveryLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave)
+      : PmRecordLog(rom, enclave, "RecoveryLog", kRootSlot, 0x504C5245434F5652ULL) {}  // "PLRECOVR"
 
-  [[nodiscard]] bool exists() const;
-  void create(std::size_t capacity);
   /// Appends one record (durable transaction). When full, the oldest half is
   /// dropped first — recovery history must never block recovery itself.
-  void append(const RecoveryRecord& record);
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const;
-  [[nodiscard]] RecoveryRecord at(std::size_t index) const;
-  [[nodiscard]] std::vector<RecoveryRecord> all() const;
-
- private:
-  struct Header {
-    std::uint64_t magic;
-    std::uint64_t capacity;
-    std::uint64_t count;
-    std::uint64_t entries_off;
-  };
-  static constexpr std::uint64_t kMagic = 0x504C5245434F5652ULL;  // "PLRECOVR"
-
-  [[nodiscard]] Header header() const;
-
-  romulus::Romulus* rom_;
-  sgx::EnclaveRuntime* enclave_;
+  void append(const RecoveryRecord& record) { append_record(record, /*compact=*/true); }
 };
 
 /// One serving window, as persisted by serve::InferenceServer after each
@@ -135,36 +133,17 @@ struct ServeWindowRecord {
 /// a Plinius serving deployment, riding the same Romulus transaction
 /// machinery as MetricsLog (separate root slot). When full, the oldest half
 /// is dropped — the serving path must never stall on its own telemetry.
-class ServeLog {
+class ServeLog : public PmRecordLog<ServeWindowRecord> {
  public:
   static constexpr int kRootSlot = pm::kServeLogRootSlot;
 
-  ServeLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave);
+  ServeLog(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave)
+      : PmRecordLog(rom, enclave, "ServeLog", kRootSlot, 0x504C5345525645ULL) {}  // "PLSERVE"
 
-  [[nodiscard]] bool exists() const;
-  void create(std::size_t capacity);
   /// Appends one window record (durable transaction; compacts when full).
-  void append(const ServeWindowRecord& record);
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::size_t capacity() const;
-  [[nodiscard]] ServeWindowRecord at(std::size_t index) const;
-  [[nodiscard]] std::vector<ServeWindowRecord> all() const;
+  void append(const ServeWindowRecord& record) { append_record(record, /*compact=*/true); }
   /// window value for the next append (max persisted window + 1; 0 if empty).
   [[nodiscard]] std::uint64_t next_window() const;
-
- private:
-  struct Header {
-    std::uint64_t magic;
-    std::uint64_t capacity;
-    std::uint64_t count;
-    std::uint64_t entries_off;
-  };
-  static constexpr std::uint64_t kMagic = 0x504C5345525645ULL;  // "PLSERVE"
-
-  [[nodiscard]] Header header() const;
-
-  romulus::Romulus* rom_;
-  sgx::EnclaveRuntime* enclave_;
 };
 
 }  // namespace plinius

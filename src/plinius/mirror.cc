@@ -1,11 +1,12 @@
 #include "plinius/mirror.h"
 
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/error.h"
-#include "common/parallel.h"
 #include "crypto/envelope.h"
 #include "obs/trace.h"
 
@@ -13,11 +14,7 @@ namespace plinius {
 
 MirrorModel::MirrorModel(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave,
                          crypto::AesGcm gcm, MirrorOptions options)
-    : rom_(&rom),
-      enclave_(&enclave),
-      gcm_(std::move(gcm)),
-      iv_seq_(crypto::IvSequence::salted(enclave.rng())),
-      options_(options) {}
+    : rom_(&rom), enclave_(&enclave), options_(options), blobs_(rom, enclave, std::move(gcm)) {}
 
 MirrorModel::~MirrorModel() = default;
 
@@ -42,30 +39,62 @@ MirrorModel::Header MirrorModel::header() const {
 
 std::uint64_t MirrorModel::iteration() const { return header().iteration; }
 
-MirrorModel::LayerNode MirrorModel::checked_node(std::uint64_t node_off,
-                                                 const char* ctx) const {
-  if (node_off > rom_->main_size() ||
-      sizeof(LayerNode) > rom_->main_size() - node_off) {
-    throw PmError(std::string(ctx) + ": layer node offset " +
-                  std::to_string(node_off) + " + " +
-                  std::to_string(sizeof(LayerNode)) + " bytes exceeds main size " +
-                  std::to_string(rom_->main_size()));
+MirrorModel::LayerList MirrorModel::walk(const Header& hdr, ml::Network* net,
+                                         const char* ctx) const {
+  const std::string where(ctx);
+  if (net != nullptr && hdr.num_layers != net->num_layers()) {
+    throw MlError(where + ": layer count mismatch");
   }
-  return rom_->read<LayerNode>(node_off);
-}
-
-void MirrorModel::check_buffer_extent(const LayerNode& node, std::size_t b,
-                                      const char* ctx) const {
-  const std::uint64_t len = node.buf_sealed_len[b];
-  const auto check = [&](std::uint64_t off, const char* which) {
-    if (off > rom_->main_size() || len > rom_->main_size() - off) {
-      throw PmError(std::string(ctx) + ": corrupt " + which + " buffer extent [" +
-                    std::to_string(off) + ", +" + std::to_string(len) +
-                    ") exceeds main size " + std::to_string(rom_->main_size()));
+  // Nodes are distinct allocations, so a count that cannot fit in main is
+  // corrupt before any node is read.
+  if (hdr.num_layers > rom_->main_size() / sizeof(LayerNode)) {
+    throw PmError(where + ": corrupt layer count " + std::to_string(hdr.num_layers));
+  }
+  LayerList list;
+  std::unordered_set<std::uint64_t> seen;
+  std::uint64_t node_off = hdr.head;
+  for (std::uint64_t i = 0; i < hdr.num_layers; ++i) {
+    if (node_off == 0) throw PmError(where + ": truncated layer list");
+    if (!seen.insert(node_off).second) {
+      throw PmError(where + ": layer list revisits the node at offset " +
+                    std::to_string(node_off));
     }
-  };
-  check(node.buf_off[b], "primary");
-  if (node.buf_replica_off[b] != 0) check(node.buf_replica_off[b], "replica");
+    if (node_off > rom_->main_size() ||
+        sizeof(LayerNode) > rom_->main_size() - node_off) {
+      throw PmError(where + ": layer node offset " + std::to_string(node_off) + " + " +
+                    std::to_string(sizeof(LayerNode)) + " bytes exceeds main size " +
+                    std::to_string(rom_->main_size()));
+    }
+    const auto node = rom_->read<LayerNode>(node_off);
+    if (node.num_buffers > kMaxBuffersPerLayer) {
+      throw PmError(where + ": corrupt buffer count " + std::to_string(node.num_buffers) +
+                    " in layer node at offset " + std::to_string(node_off));
+    }
+    std::vector<ml::ParamBuffer> params;
+    if (net != nullptr) {
+      params = net->layer(i).parameters();
+      if (node.num_buffers != params.size()) {
+        throw MlError(where + ": buffer count mismatch");
+      }
+    }
+    for (std::size_t b = 0; b < node.num_buffers; ++b) {
+      const SealedExtent e{{node.buf_off[b], node.buf_replica_off[b], node.buf_sealed_len[b]},
+                           static_cast<std::size_t>(i),
+                           b};
+      if (net != nullptr &&
+          e.sealed_len != crypto::sealed_size(params[b].values.size_bytes())) {
+        throw MlError(where + ": buffer size mismatch");
+      }
+      blobs_.check_extent(e, ctx);
+      list.extents.push_back(e);
+    }
+    list.params.insert(list.params.end(), std::make_move_iterator(params.begin()),
+                       std::make_move_iterator(params.end()));
+    list.nodes.push_back(node_off);
+    node_off = node.next;
+  }
+  if (node_off != 0) throw PmError(where + ": layer list longer than the model");
+  return list;
 }
 
 void MirrorModel::alloc(ml::Network& net) {
@@ -107,120 +136,38 @@ void MirrorModel::alloc(ml::Network& net) {
   });
 }
 
-MirrorModel::SealPlan MirrorModel::build_seal_plan(ml::Network& net, const char* ctx) {
-  // Serial walk: validate the PM layer list against the model and build the
-  // seal task list. IVs are drawn from the key's sequence here, in list
-  // order, so the counter stays strictly monotonic no matter how the sealing
-  // tasks are scheduled afterwards.
-  const Header hdr = header();
-  if (hdr.num_layers != net.num_layers()) {
-    throw MlError(std::string(ctx) + ": layer count mismatch");
-  }
-  SealPlan plan;
-  std::uint64_t node_off = hdr.head;
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    expects(node_off != 0, "MirrorModel: truncated layer list");
-    const LayerNode node = checked_node(node_off, ctx);
-    const auto buffers = net.layer(i).parameters();
-    if (node.num_buffers != buffers.size()) {
-      throw MlError(std::string(ctx) + ": buffer count mismatch");
-    }
-    for (std::size_t b = 0; b < buffers.size(); ++b) {
-      const ByteSpan plain = float_bytes(buffers[b].values);
-      if (node.buf_sealed_len[b] != crypto::sealed_size(plain.size())) {
-        throw MlError(std::string(ctx) + ": buffer size mismatch");
-      }
-      check_buffer_extent(node, b, ctx);
-      SealTask task{plain,
-                    node.buf_off[b],
-                    node.buf_replica_off[b],
-                    node.buf_sealed_len[b],
-                    plan.scratch_bytes,
-                    plan.plain_bytes,
-                    {}};
-      iv_seq_.next(task.iv);
-      plan.scratch_bytes += task.sealed_len;
-      plan.plain_bytes += plain.size();
-      // Encrypt cost: touch the (EPC-resident) weights + one GCM pass.
-      const sim::Nanos touch_ns = enclave_->touch_task_ns(plain.size());
-      const sim::Nanos crypto_ns = enclave_->crypto_task_ns(plain.size());
-      plan.touch_sum += touch_ns;
-      plan.crypto_sum += crypto_ns;
-      plan.costs.push_back(touch_ns + crypto_ns);
-      plan.tasks.push_back(task);
-    }
-    node_off = node.next;
+SealedBlobs::SealPlan MirrorModel::build_seal_plan(ml::Network& net, const char* ctx) {
+  // IVs are drawn here, serially in list order, so the counter stays
+  // strictly monotonic no matter how the sealing tasks are scheduled.
+  const LayerList list = walk(header(), &net, ctx);
+  SealedBlobs::SealPlan plan;
+  for (std::size_t k = 0; k < list.extents.size(); ++k) {
+    blobs_.plan_seal(plan, list.extents[k], float_bytes(list.params[k].values));
   }
   return plan;
-}
-
-void MirrorModel::commit_seal(const SealPlan& plan, ByteSpan sealed,
-                              std::uint64_t iteration) {
-  // Commit. Romulus transactions are single-writer, so the sealed buffers
-  // and the iteration counter go to PM serially, atomically. The PM stores,
-  // PWBs, fences and the twin-copy commit are the "write" share of Table Ia.
-  sim::Stopwatch write_sw(enclave_->clock());
-  rom_->run_transaction([&] {
-    rom_->tx_assign(rom_->root(kRootSlot) + offsetof(Header, iteration), iteration);
-    for (const SealTask& task : plan.tasks) {
-      rom_->tx_store(task.pm_off, sealed.data() + task.scratch_off, task.sealed_len);
-      if (task.replica_off != 0) {
-        rom_->tx_store(task.replica_off, sealed.data() + task.scratch_off,
-                       task.sealed_len);
-      }
-    }
-  });
-  stats_.write_ns += write_sw.elapsed();
 }
 
 void MirrorModel::mirror_out(ml::Network& net, std::uint64_t iteration) {
   expects(async_ == nullptr,
           "MirrorModel::mirror_out: async save in flight — drain it first");
-  ++stats_.save_attempts;
+  ++blobs_.stats().save_attempts;
   obs::Span span(enclave_->clock(), obs::Category::kMirrorSave, "mirror.save");
   span.attr("iteration", static_cast<double>(iteration));
   enclave_->charge_ecall();
 
-  // Phase 1 (serial): validate + plan.
-  const SealPlan plan = build_seal_plan(net, "MirrorModel::mirror_out");
-
-  // Phase 2: seal every buffer concurrently into disjoint scratch slices.
-  scratch_.resize(plan.scratch_bytes);
-  par::parallel_for(plan.tasks.size(), [&](par::Range r) {
-    for (std::size_t t = r.begin; t < r.end; ++t) {
-      const SealTask& task = plan.tasks[t];
-      crypto::seal_into_iv(gcm_, task.iv, task.plain,
-                           MutableByteSpan(scratch_.data() + task.scratch_off,
-                                           task.sealed_len));
-    }
-  });
-  // Simulated encryption time: critical path over the enclave's TCS lanes.
-  const sim::Nanos seal_t0 = enclave_->clock().now();
-  const sim::Nanos enc_ns = enclave_->charge_parallel(plan.costs);
-  stats_.encrypt_ns += enc_ns;
-  // Attribute the critical-path advance to its components in proportion to
-  // their task-cost shares: paging dominates past the EPC limit, GCM below
-  // it — which is exactly the Table Ia crossover the trace should expose.
-  if (enc_ns > 0 && plan.touch_sum + plan.crypto_sum > 0) {
-    const sim::Nanos paging_ns =
-        enc_ns * (plan.touch_sum / (plan.touch_sum + plan.crypto_sum));
-    obs::trace_complete(enclave_->clock(), obs::Category::kEpcPaging,
-                        "mirror.seal.paging", seal_t0, seal_t0 + paging_ns);
-    obs::trace_complete(enclave_->clock(), obs::Category::kGcm, "mirror.seal.gcm",
-                        seal_t0 + paging_ns, seal_t0 + enc_ns);
-  }
-
-  // Phase 3: durable commit.
-  commit_seal(plan, scratch_, iteration);
-  ++stats_.saves;
+  const SealedBlobs::SealPlan plan = build_seal_plan(net, "MirrorModel::mirror_out");
+  const ByteSpan sealed = blobs_.seal(plan);
+  blobs_.commit(plan, sealed, rom_->root(kRootSlot) + offsetof(Header, iteration),
+                iteration);
+  ++blobs_.stats().saves;
 }
 
 // Pending double-buffered save: the weight snapshot (so compute can mutate
 // the live buffers immediately) and the sealed bytes awaiting their durable
-// commit. Owning both here keeps scratch_ free for any synchronous restore
-// the recovery path may need while a seal is in flight.
+// commit. Owning both here keeps the engine's scratch free for any
+// synchronous restore the recovery path may need while a seal is in flight.
 struct MirrorModel::AsyncSeal {
-  SealPlan plan;
+  SealedBlobs::SealPlan plan;
   std::uint64_t iteration = 0;
   Bytes snapshot;
   Bytes sealed;
@@ -230,7 +177,7 @@ void MirrorModel::begin_async_save(ml::Network& net, std::uint64_t iteration,
                                    sgx::ChargeStream& stream) {
   expects(async_ == nullptr,
           "MirrorModel::begin_async_save: previous async save still pending");
-  ++stats_.save_attempts;
+  ++blobs_.stats().save_attempts;
   obs::Span span(enclave_->clock(), obs::Category::kMirrorSave, "mirror.save.stage");
   span.attr("iteration", static_cast<double>(iteration));
   enclave_->charge_ecall();
@@ -238,59 +185,7 @@ void MirrorModel::begin_async_save(ml::Network& net, std::uint64_t iteration,
   auto async = std::make_unique<AsyncSeal>();
   async->plan = build_seal_plan(net, "MirrorModel::begin_async_save");
   async->iteration = iteration;
-
-  // Double buffer: gather the live weights into the enclave staging snapshot.
-  // This copy is the only weight-touching cost left on the foreground; the
-  // moment it is done, training may mutate the live buffers again.
-  async->snapshot.resize(async->plan.plain_bytes);
-  for (const SealTask& task : async->plan.tasks) {
-    std::memcpy(async->snapshot.data() + task.plain_off, task.plain.data(),
-                task.plain.size());
-  }
-  enclave_->charge_plain_copy(async->plan.plain_bytes);
-
-  // Seal the snapshot now — the sealed bytes must be bitwise identical to
-  // the serial path's — but book the simulated cost on the background
-  // stream's lanes instead of the foreground clock.
-  async->sealed.resize(async->plan.scratch_bytes);
-  const SealPlan& plan = async->plan;
-  Bytes& snapshot = async->snapshot;
-  Bytes& sealed = async->sealed;
-  par::parallel_for(plan.tasks.size(), [&](par::Range r) {
-    for (std::size_t t = r.begin; t < r.end; ++t) {
-      const SealTask& task = plan.tasks[t];
-      crypto::seal_into_iv(
-          gcm_, task.iv,
-          ByteSpan(snapshot.data() + task.plain_off, task.plain.size()),
-          MutableByteSpan(sealed.data() + task.scratch_off, task.sealed_len));
-    }
-  });
-  const sgx::ChargeStream::Window window = stream.submit(plan.costs);
-  stats_.encrypt_ns += window.duration();
-
-  // Background-lane spans: a pipeline.seal bracket on its own track with the
-  // same paging/GCM decomposition mirror_out emits, so rollups can prove the
-  // overlap (the bracket lies outside the foreground span tree and may
-  // extend past "now").
-  obs::Tracer* tracer = enclave_->clock().tracer();
-  if (tracer != nullptr && tracer->enabled() && window.duration() > 0) {
-    const obs::Attr a[] = {{"iteration", static_cast<double>(iteration)},
-                           {"lanes", static_cast<double>(stream.lanes())}};
-    const std::uint64_t bracket =
-        tracer->complete(obs::Category::kPipelineSeal, "pipeline.seal",
-                         window.begin, window.end, /*parent=*/0, /*track=*/1, a, 2);
-    if (plan.touch_sum + plan.crypto_sum > 0) {
-      const sim::Nanos paging_ns =
-          window.duration() * (plan.touch_sum / (plan.touch_sum + plan.crypto_sum));
-      if (paging_ns > 0) {
-        tracer->complete(obs::Category::kEpcPaging, "pipeline.seal.paging",
-                         window.begin, window.begin + paging_ns, bracket,
-                         /*track=*/1);
-      }
-      tracer->complete(obs::Category::kGcm, "pipeline.seal.gcm",
-                       window.begin + paging_ns, window.end, bracket, /*track=*/1);
-    }
-  }
+  blobs_.seal_async(async->plan, stream, iteration, async->snapshot, async->sealed);
   async_ = std::move(async);
 }
 
@@ -301,16 +196,17 @@ bool MirrorModel::complete_async_save(sgx::ChargeStream& stream) {
   const std::unique_ptr<AsyncSeal> pending = std::move(async_);
   const sim::Nanos stall_t0 = enclave_->clock().now();
   const sim::Nanos stall = stream.join();
-  stats_.pipeline_stall_ns += stall;
+  blobs_.stats().pipeline_stall_ns += stall;
   if (stall > 0) {
     obs::trace_complete(enclave_->clock(), obs::Category::kPipelineStall,
                         "pipeline.stall", stall_t0, enclave_->clock().now());
   }
   obs::Span span(enclave_->clock(), obs::Category::kMirrorSave, "mirror.save.commit");
   span.attr("iteration", static_cast<double>(pending->iteration));
-  commit_seal(pending->plan, pending->sealed, pending->iteration);
-  ++stats_.saves;
-  ++stats_.async_saves;
+  blobs_.commit(pending->plan, pending->sealed,
+                rom_->root(kRootSlot) + offsetof(Header, iteration), pending->iteration);
+  ++blobs_.stats().saves;
+  ++blobs_.stats().async_saves;
   return true;
 }
 
@@ -335,204 +231,63 @@ std::uint64_t MirrorModel::restore_model(ml::Network& net, bool snapshot) {
   const char* ctx = snapshot ? "MirrorModel::mirror_in_snapshot" : "MirrorModel::mirror_in";
   expects(async_ == nullptr,
           "MirrorModel: restore with an async save in flight — drain it first");
-  ++stats_.restore_attempts;
+  ++blobs_.stats().restore_attempts;
   const Header hdr = header();
-  if (hdr.num_layers != net.num_layers()) {
-    throw MlError(std::string(ctx) + ": layer count mismatch");
-  }
+  const LayerList list = walk(hdr, &net, ctx);
   obs::Span span(enclave_->clock(), obs::Category::kMirrorRestore,
                  snapshot ? "mirror.restore.snapshot" : "mirror.restore");
   enclave_->charge_ecall();
 
-  // Phase 1 (serial): walk the PM layer list with the same range checks
-  // verify_integrity performs (node offsets and buffer extents are untrusted
-  // PM data), stage every sealed buffer into enclave scratch, and charge the
-  // reads. PM reads stay serial: the media bandwidth is shared, so lanes
-  // would not overlap them anyway.
-  struct OpenTask {
-    std::size_t scratch_off;
-    std::size_t sealed_len;
-    std::uint64_t pm_off;
-    std::uint64_t replica_off;  // 0 = unreplicated
-    std::span<float> dest;
-    std::size_t plain_off;  // float offset into the snapshot staging buffer
-    std::size_t layer;
-    std::string name;
-  };
-  std::vector<OpenTask> tasks;
-  std::vector<sim::Nanos> costs;
-  sim::Nanos open_crypto_sum = 0;  // GCM share of the decrypt costs
-  sim::Nanos open_copy_sum = 0;    // plain-copy share
-  std::size_t scratch_bytes = 0;
-  std::size_t plain_floats = 0;
-  std::uint64_t node_off = hdr.head;
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    expects(node_off != 0, "MirrorModel: truncated layer list");
-    const LayerNode node = checked_node(node_off, ctx);
-    const auto buffers = net.layer(i).parameters();
-    if (node.num_buffers != buffers.size()) {
-      throw MlError(std::string(ctx) + ": buffer count mismatch");
-    }
-    for (std::size_t b = 0; b < buffers.size(); ++b) {
-      const std::size_t sealed_len = node.buf_sealed_len[b];
-      if (sealed_len != crypto::sealed_size(buffers[b].values.size_bytes())) {
-        throw MlError(std::string(ctx) + ": buffer size mismatch");
-      }
-      check_buffer_extent(node, b, ctx);
-      tasks.push_back({scratch_bytes, sealed_len, node.buf_off[b],
-                       node.buf_replica_off[b], buffers[b].values, plain_floats, i,
-                       buffers[b].name});
-      scratch_bytes += sealed_len;
-      plain_floats += buffers[b].values.size();
-      // Decrypt cost: one GCM pass + the plain copy into the layer arrays.
-      const sim::Nanos crypto_ns = enclave_->crypto_task_ns(sealed_len);
-      const sim::Nanos copy_ns =
-          enclave_->plain_copy_ns(buffers[b].values.size_bytes());
-      open_crypto_sum += crypto_ns;
-      open_copy_sum += copy_ns;
-      costs.push_back(crypto_ns + copy_ns);
-    }
-    node_off = node.next;
-  }
-
   // Snapshot mode decrypts into this staging buffer; the layer arrays are
   // only written after every buffer has authenticated.
+  std::size_t plain_floats = 0;
+  for (const ml::ParamBuffer& p : list.params) plain_floats += p.values.size();
   std::vector<float> plain_stage(snapshot ? plain_floats : 0);
-  const auto dest_span = [&](const OpenTask& task) {
-    return snapshot ? std::span<float>(plain_stage.data() + task.plain_off,
-                                       task.dest.size())
-                    : task.dest;
-  };
-
-  sim::Stopwatch rd(enclave_->clock());
-  scratch_.resize(scratch_bytes);
-  // Stage PM -> enclave scratch. Offsets were validated against main above.
-  for (const OpenTask& task : tasks) {
-    rom_->device().charge_read(task.sealed_len);
-    if (enclave_->model().real_sgx) {
-      enclave_->copy_into_enclave(task.sealed_len);
-    }
-    std::memcpy(scratch_.data() + task.scratch_off, rom_->main_base() + task.pm_off,
-                task.sealed_len);
-  }
-  stats_.read_ns += rd.elapsed();
-
-  // Phase 2: authenticate + decrypt every buffer concurrently, straight into
-  // the layers' (disjoint) parameter arrays.
-  std::vector<std::uint8_t> auth_ok(tasks.size(), 0);
-  par::parallel_for(tasks.size(), [&](par::Range r) {
-    for (std::size_t t = r.begin; t < r.end; ++t) {
-      const OpenTask& task = tasks[t];
-      const ByteSpan sealed(scratch_.data() + task.scratch_off, task.sealed_len);
-      auth_ok[t] = crypto::open_into(gcm_, sealed, float_bytes_mut(dest_span(task)))
-                       ? 1
-                       : 0;
-    }
-  });
-  const sim::Nanos open_t0 = enclave_->clock().now();
-  const sim::Nanos dec_ns = enclave_->charge_parallel(costs);
-  stats_.decrypt_ns += dec_ns;
-  if (dec_ns > 0 && open_crypto_sum + open_copy_sum > 0) {
-    const sim::Nanos gcm_ns =
-        dec_ns * (open_crypto_sum / (open_crypto_sum + open_copy_sum));
-    obs::trace_complete(enclave_->clock(), obs::Category::kGcm, "mirror.open.gcm",
-                        open_t0, open_t0 + gcm_ns);
-    obs::trace_complete(enclave_->clock(), obs::Category::kPlainCopy,
-                        "mirror.open.copy", open_t0 + gcm_ns, open_t0 + dec_ns);
+  std::vector<SealedBlobs::OpenTask> tasks;
+  tasks.reserve(list.extents.size());
+  std::size_t staged = 0;
+  for (std::size_t k = 0; k < list.extents.size(); ++k) {
+    const std::span<float> dest = list.params[k].values;
+    tasks.push_back({list.extents[k],
+                     float_bytes_mut(snapshot ? std::span<float>(plain_stage.data() + staged,
+                                                                 dest.size())
+                                              : dest)});
+    staged += dest.size();
   }
 
-  // Phase 3 (rare, serial): any buffer whose primary failed authentication
-  // retries from its A/B sibling. A sibling that authenticates both restores
-  // the weights and rewrites the corrupt primary (one durable transaction for
-  // all repairs; tx_store's full-line write-back also clears line poison).
-  struct Repair {
-    std::uint64_t pm_off;
-    std::size_t scratch_off;
-    std::size_t sealed_len;
-  };
-  std::vector<Repair> repairs;
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    if (auth_ok[t]) continue;
-    const OpenTask& task = tasks[t];
-    if (task.replica_off != 0) {
-      rom_->device().charge_read(task.sealed_len);
-      if (enclave_->model().real_sgx) enclave_->copy_into_enclave(task.sealed_len);
-      std::memcpy(scratch_.data() + task.scratch_off,
-                  rom_->main_base() + task.replica_off, task.sealed_len);
-      const ByteSpan sealed(scratch_.data() + task.scratch_off, task.sealed_len);
-      stats_.decrypt_ns += enclave_->crypto_task_ns(task.sealed_len);
-      if (crypto::open_into(gcm_, sealed, float_bytes_mut(dest_span(task)))) {
-        repairs.push_back({task.pm_off, task.scratch_off, task.sealed_len});
-        ++stats_.replica_repairs;
-        continue;
-      }
-    }
+  const std::size_t failed = blobs_.open(tasks);
+  if (failed < tasks.size()) {
+    const SealedExtent& e = list.extents[failed];
     throw CryptoError(std::string(ctx) + ": authentication failed for layer " +
-                      std::to_string(task.layer) + " buffer " + task.name +
-                      (task.replica_off != 0 ? " (both A/B copies corrupt)"
-                                             : " (PM mirror corrupted or tampered)"));
-  }
-  if (!repairs.empty()) {
-    rom_->run_transaction([&] {
-      for (const Repair& r : repairs) {
-        rom_->tx_store(r.pm_off, scratch_.data() + r.scratch_off, r.sealed_len);
-      }
-    });
+                      std::to_string(e.layer) + " buffer " + list.params[failed].name +
+                      (e.replica_off != 0 ? " (both A/B copies corrupt)"
+                                          : " (PM mirror corrupted or tampered)"));
   }
 
   // Snapshot install: everything authenticated, so the staged weights can be
   // copied into the layer arrays (plain enclave-DRAM copies, charged above in
   // the per-task costs; an extra pass, but torn-weight-free on any failure).
   if (snapshot) {
-    for (const OpenTask& task : tasks) {
-      std::memcpy(task.dest.data(), plain_stage.data() + task.plain_off,
-                  task.dest.size_bytes());
+    for (std::size_t k = 0; k < tasks.size(); ++k) {
+      std::memcpy(list.params[k].values.data(), tasks[k].dest.data(), tasks[k].dest.size());
     }
     enclave_->charge_plain_copy(plain_floats * sizeof(float));
   }
 
   net.set_iterations(hdr.iteration);
-  ++stats_.restores;
+  ++blobs_.stats().restores;
   return hdr.iteration;
 }
 
 std::uint64_t MirrorModel::verify_integrity(ml::Network& net) {
   const Header hdr = header();
-  if (hdr.num_layers != net.num_layers()) {
-    throw MlError("MirrorModel::verify_integrity: layer count mismatch");
-  }
-
-  Bytes plain_scratch;
-  std::uint64_t node_off = hdr.head;
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    if (node_off == 0) throw PmError("MirrorModel::verify_integrity: truncated layer list");
-    const LayerNode node = checked_node(node_off, "MirrorModel::verify_integrity");
-    const auto buffers = net.layer(i).parameters();
-    if (node.num_buffers != buffers.size()) {
-      throw MlError("MirrorModel::verify_integrity: buffer count mismatch");
+  const LayerList list = walk(hdr, &net, "MirrorModel::verify_integrity");
+  for (std::size_t k = 0; k < list.extents.size(); ++k) {
+    if (!blobs_.authenticates(list.extents[k])) {
+      throw CryptoError("MirrorModel::verify_integrity: authentication failed for layer " +
+                        std::to_string(list.extents[k].layer) + " buffer " +
+                        list.params[k].name);
     }
-    for (std::size_t b = 0; b < buffers.size(); ++b) {
-      const std::size_t sealed_len = node.buf_sealed_len[b];
-      if (sealed_len != crypto::sealed_size(buffers[b].values.size_bytes())) {
-        throw MlError("MirrorModel::verify_integrity: buffer size mismatch");
-      }
-      if (node.buf_off[b] > rom_->main_size() ||
-          sealed_len > rom_->main_size() - node.buf_off[b]) {
-        throw PmError("MirrorModel::verify_integrity: buffer offset out of range");
-      }
-      scratch_.resize(sealed_len);
-      std::memcpy(scratch_.data(), rom_->main_base() + node.buf_off[b], sealed_len);
-      plain_scratch.resize(buffers[b].values.size_bytes());
-      if (!crypto::open_into(gcm_, scratch_,
-                             MutableByteSpan(plain_scratch.data(), plain_scratch.size()))) {
-        throw CryptoError("MirrorModel::verify_integrity: authentication failed for layer " +
-                          std::to_string(i) + " buffer " + buffers[b].name);
-      }
-    }
-    node_off = node.next;
-  }
-  if (node_off != 0) {
-    throw PmError("MirrorModel::verify_integrity: layer list longer than the model");
   }
   return hdr.iteration;
 }
@@ -544,119 +299,26 @@ bool MirrorModel::replicated() const {
 MirrorScrubReport MirrorModel::scrub(ml::Network& net, bool repair) {
   expects(async_ == nullptr,
           "MirrorModel::scrub: async save in flight — drain it first");
-  const Header hdr = header();
-  if (hdr.num_layers != net.num_layers()) {
-    throw MlError("MirrorModel::scrub: layer count mismatch");
-  }
-  MirrorScrubReport report;
+  const LayerList list = walk(header(), &net, "MirrorModel::scrub");
   obs::Span span(enclave_->clock(), obs::Category::kScrub, "mirror.scrub");
-
-  struct Repair {
-    std::uint64_t dest_off;
-    Bytes sealed;  // the authenticated sibling's bytes
-  };
-  std::vector<Repair> repairs;
-  Bytes sealed_scratch;
-  Bytes plain_scratch;
-
-  // Authenticates the sealed copy at main-relative `off`, charging scrub read
-  // traffic (PmDevice::scrub_range also surfaces poisoned lines; poisoned
-  // content is scrambled, so authentication fails and the copy reads as
-  // corrupt rather than wedging the scrubber).
-  const auto copy_ok = [&](std::uint64_t off, std::size_t sealed_len,
-                           std::size_t plain_len) {
-    rom_->device().scrub_range(rom_->main_region_offset() + off, sealed_len);
-    sealed_scratch.resize(sealed_len);
-    std::memcpy(sealed_scratch.data(), rom_->main_base() + off, sealed_len);
-    plain_scratch.resize(plain_len);
-    stats_.decrypt_ns += enclave_->crypto_task_ns(sealed_len);
-    return crypto::open_into(gcm_, sealed_scratch,
-                             MutableByteSpan(plain_scratch.data(), plain_len));
-  };
-
-  std::uint64_t node_off = hdr.head;
-  for (std::size_t i = 0; i < net.num_layers(); ++i) {
-    if (node_off == 0) throw PmError("MirrorModel::scrub: truncated layer list");
-    const LayerNode node = checked_node(node_off, "MirrorModel::scrub");
-    const auto buffers = net.layer(i).parameters();
-    if (node.num_buffers != buffers.size()) {
-      throw MlError("MirrorModel::scrub: buffer count mismatch");
-    }
-    for (std::size_t b = 0; b < buffers.size(); ++b) {
-      const std::size_t sealed_len = node.buf_sealed_len[b];
-      const std::size_t plain_len = buffers[b].values.size_bytes();
-      if (sealed_len != crypto::sealed_size(plain_len)) {
-        throw MlError("MirrorModel::scrub: buffer size mismatch");
-      }
-      check_buffer_extent(node, b, "MirrorModel::scrub");
-      ++report.buffers_checked;
-
-      const bool primary_ok = copy_ok(node.buf_off[b], sealed_len, plain_len);
-      if (node.buf_replica_off[b] == 0) {
-        if (!primary_ok) {
-          ++report.auth_failures;
-          ++report.unrecoverable;
-        }
-        continue;
-      }
-      // copy_ok leaves the authenticated bytes in sealed_scratch; grab the
-      // primary's before the replica check overwrites them.
-      Bytes primary_bytes = primary_ok ? sealed_scratch : Bytes{};
-      const bool replica_ok = copy_ok(node.buf_replica_off[b], sealed_len, plain_len);
-      if (!primary_ok) ++report.auth_failures;
-      if (!replica_ok) ++report.auth_failures;
-      if (primary_ok && replica_ok) continue;
-      if (!primary_ok && !replica_ok) {
-        ++report.unrecoverable;
-        continue;
-      }
-      if (repair) {
-        if (primary_ok) {
-          repairs.push_back({node.buf_replica_off[b], std::move(primary_bytes)});
-        } else {
-          repairs.push_back({node.buf_off[b], sealed_scratch});
-        }
-        ++report.repaired;
-        ++stats_.replica_repairs;
-      }
-    }
-    node_off = node.next;
-  }
-  if (node_off != 0) {
-    throw PmError("MirrorModel::scrub: layer list longer than the model");
-  }
-
-  if (!repairs.empty()) {
-    rom_->run_transaction([&] {
-      for (const Repair& r : repairs) {
-        rom_->tx_store(r.dest_off, r.sealed.data(), r.sealed.size());
-      }
-    });
-  }
-  return report;
+  const std::vector<BlobExtent> extents(list.extents.begin(), list.extents.end());
+  return blobs_.scrub(extents, repair);
 }
 
 void MirrorModel::dispose() {
   expects(async_ == nullptr,
           "MirrorModel::dispose: async save in flight — drain it first");
-  const Header hdr = header();
-  // Walk first (reads can throw on corrupt offsets), free second.
+  // Walk first (reads can throw on corrupt offsets), free second: each
+  // node's sealed buffers and siblings, then the node, then the header.
+  const LayerList list = walk(header(), nullptr, "MirrorModel::dispose");
   std::vector<std::uint64_t> blocks;
-  std::uint64_t node_off = hdr.head;
-  for (std::uint64_t i = 0; i < hdr.num_layers; ++i) {
-    if (node_off == 0) throw PmError("MirrorModel::dispose: truncated layer list");
-    const LayerNode node = checked_node(node_off, "MirrorModel::dispose");
-    if (node.num_buffers > kMaxBuffersPerLayer) {
-      throw PmError("MirrorModel::dispose: corrupt buffer count " +
-                    std::to_string(node.num_buffers) + " in layer node at offset " +
-                    std::to_string(node_off));
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < list.nodes.size(); ++i) {
+    for (; k < list.extents.size() && list.extents[k].layer == i; ++k) {
+      blocks.push_back(list.extents[k].primary_off);
+      if (list.extents[k].replica_off != 0) blocks.push_back(list.extents[k].replica_off);
     }
-    for (std::size_t b = 0; b < node.num_buffers; ++b) {
-      blocks.push_back(node.buf_off[b]);
-      if (node.buf_replica_off[b] != 0) blocks.push_back(node.buf_replica_off[b]);
-    }
-    blocks.push_back(node_off);
-    node_off = node.next;
+    blocks.push_back(list.nodes[i]);
   }
   blocks.push_back(rom_->root(kRootSlot));
 
@@ -667,31 +329,12 @@ void MirrorModel::dispose() {
 }
 
 std::vector<MirrorModel::SealedExtent> MirrorModel::sealed_extents() const {
-  const Header hdr = header();
-  std::vector<SealedExtent> extents;
-  std::uint64_t node_off = hdr.head;
-  for (std::uint64_t i = 0; i < hdr.num_layers; ++i) {
-    if (node_off == 0) throw PmError("MirrorModel::sealed_extents: truncated layer list");
-    const LayerNode node = checked_node(node_off, "MirrorModel::sealed_extents");
-    for (std::size_t b = 0; b < node.num_buffers && b < kMaxBuffersPerLayer; ++b) {
-      extents.push_back({static_cast<std::size_t>(i), b, node.buf_off[b],
-                         node.buf_replica_off[b], node.buf_sealed_len[b]});
-    }
-    node_off = node.next;
-  }
-  return extents;
+  return walk(header(), nullptr, "MirrorModel::sealed_extents").extents;
 }
 
 std::size_t MirrorModel::encryption_metadata_bytes() const {
-  const Header hdr = header();
-  std::size_t buffers = 0;
-  std::uint64_t node_off = hdr.head;
-  while (node_off != 0) {
-    const LayerNode node = checked_node(node_off, "MirrorModel::encryption_metadata_bytes");
-    buffers += node.num_buffers;
-    node_off = node.next;
-  }
-  return buffers * crypto::kSealOverhead;
+  return walk(header(), nullptr, "MirrorModel::encryption_metadata_bytes").extents.size() *
+         crypto::kSealOverhead;
 }
 
 }  // namespace plinius

@@ -10,6 +10,12 @@
 //   * mirror-in (restore): read each sealed buffer from PM into the enclave
 //     and decrypt it into the model's layer arrays.
 //
+// MirrorModel is a PM-layout schema over the sealed-blob engine
+// (plinius/sealed_blobs.h), which owns the seal / commit / open / scrub
+// protocol shared with TensorMirror. What stays here is the layer list: one
+// validated walk (walk()) turns it into the engine's extents for every entry
+// point, bounded to exactly num_layers distinct in-range nodes.
+//
 // Per-buffer encryption metadata is IV (12 B) + MAC (16 B) = 28 B; a
 // batch-normalized convolutional layer has 5 buffers, hence the paper's
 // 140 B/layer accounting, exposed via encryption_metadata_bytes().
@@ -19,37 +25,14 @@
 #include <memory>
 #include <vector>
 
-#include "common/clock.h"
-#include "crypto/envelope.h"
 #include "crypto/gcm.h"
 #include "ml/network.h"
+#include "plinius/sealed_blobs.h"
 #include "pm/root_slots.h"
 #include "romulus/romulus.h"
 #include "sgx/enclave.h"
 
 namespace plinius {
-
-struct MirrorStats {
-  sim::Nanos encrypt_ns = 0;  // save: in-enclave encryption
-  sim::Nanos write_ns = 0;    // save: PM stores + PWBs + twin-copy commit
-  sim::Nanos read_ns = 0;     // restore: PM reads + copies into the enclave
-  sim::Nanos decrypt_ns = 0;  // restore: in-enclave decryption + layer copy
-  // Foreground time spent in complete_async_save waiting for an in-flight
-  // background seal (0 = every async seal was fully hidden under compute).
-  sim::Nanos pipeline_stall_ns = 0;
-  // Attempts count every save/restore *started*; saves/restores count only
-  // the ones that ran to completion — a throw mid-operation leaves
-  // attempts > completions, which is what recovery/chaos accounting keys on.
-  std::uint64_t save_attempts = 0;
-  std::uint64_t restore_attempts = 0;
-  std::uint64_t saves = 0;
-  std::uint64_t restores = 0;
-  // Completed saves that went through the begin/complete async pipeline.
-  std::uint64_t async_saves = 0;
-  // Sealed buffers whose corrupt copy was rebuilt from its A/B sibling
-  // (mirror_in fallback + scrub repairs).
-  std::uint64_t replica_repairs = 0;
-};
 
 /// Behavior knobs for the PM mirror.
 struct MirrorOptions {
@@ -58,15 +41,6 @@ struct MirrorOptions {
   /// PM footprint and the sealed-write traffic — crash consistency alone
   /// does not need it; media faults do).
   bool replicate = false;
-};
-
-/// Result of a mirror scrub pass (see MirrorModel::scrub).
-struct MirrorScrubReport {
-  std::uint64_t buffers_checked = 0;
-  std::uint64_t auth_failures = 0;   // copies that failed GCM authentication
-  std::uint64_t repaired = 0;        // rebuilt from the healthy sibling
-  std::uint64_t unrecoverable = 0;   // both copies corrupt (or no replica)
-  [[nodiscard]] bool healthy() const noexcept { return unrecoverable == 0; }
 };
 
 class MirrorModel {
@@ -87,15 +61,9 @@ class MirrorModel {
   void alloc(ml::Network& net);
 
   /// Algorithm 3, mirror_out: encrypts the enclave model's parameters into
-  /// the PM mirror and records `iteration`, atomically.
-  ///
-  /// Sealing is parallel: per-buffer IVs are drawn from the key's
-  /// IvSequence serially (counter stays strictly monotonic — no IV reuse
-  /// across tasks), the AES-GCM passes run concurrently into disjoint
-  /// scratch slices via par::parallel_for, and the Romulus transaction then
-  /// commits the sealed buffers serially (transactions stay single-writer).
-  /// Simulated encryption time is the critical path over the enclave's TCS
-  /// lanes (EnclaveRuntime::charge_parallel).
+  /// the PM mirror and records `iteration`, atomically (SealedBlobs::seal +
+  /// commit: IVs in list order, parallel GCM priced as the TCS critical
+  /// path, one Romulus transaction).
   void mirror_out(ml::Network& net, std::uint64_t iteration);
 
   // --- pipelined (double-buffered) save ------------------------------------
@@ -186,17 +154,14 @@ class MirrorModel {
   /// Main-relative extents of every sealed buffer, for scrubbers and
   /// fault-injection harnesses targeting the mirror (replica_off is 0 when
   /// the mirror is not replicated).
-  struct SealedExtent {
+  struct SealedExtent : BlobExtent {
     std::size_t layer;
     std::size_t buffer;
-    std::uint64_t primary_off;
-    std::uint64_t replica_off;
-    std::uint64_t sealed_len;
   };
   [[nodiscard]] std::vector<SealedExtent> sealed_extents() const;
 
-  [[nodiscard]] const MirrorStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = MirrorStats{}; }
+  [[nodiscard]] const MirrorStats& stats() const noexcept { return blobs_.stats(); }
+  void reset_stats() noexcept { blobs_.stats() = MirrorStats{}; }
 
  private:
   struct Header {
@@ -215,52 +180,33 @@ class MirrorModel {
   };
   static constexpr std::uint64_t kMagic = 0x504C4D4952524F52ULL;  // "PLMIRROR"
 
-  /// One sealed buffer of a planned save. `plain` views the live weight
-  /// buffer; `plain_off` is the byte offset of its copy in a gathered
-  /// snapshot (async path).
-  struct SealTask {
-    ByteSpan plain;
-    std::uint64_t pm_off;
-    std::uint64_t replica_off;  // 0 = unreplicated
-    std::size_t sealed_len;
-    std::size_t scratch_off;
-    std::size_t plain_off;
-    std::uint8_t iv[crypto::kGcmIvSize];
-  };
-  /// Validated walk of the PM layer list against `net`, with per-buffer
-  /// costs split into their EPC-paging and GCM shares. Shared by the
-  /// synchronous and the pipelined save paths.
-  struct SealPlan {
-    std::vector<SealTask> tasks;
-    std::vector<sim::Nanos> costs;
-    sim::Nanos touch_sum = 0;   // EPC paging share of the seal costs
-    sim::Nanos crypto_sum = 0;  // GCM share
-    std::size_t scratch_bytes = 0;
-    std::size_t plain_bytes = 0;
+  /// The persistent layer list as the engine sees it: every sealed buffer's
+  /// extent in list order, each node's offset, and (when walked against a
+  /// model) the model's parameter buffers in the same order as `extents`.
+  struct LayerList {
+    std::vector<SealedExtent> extents;
+    std::vector<std::uint64_t> nodes;
+    std::vector<ml::ParamBuffer> params;
   };
   struct AsyncSeal;  // pending pipelined save (defined in mirror.cc)
 
   [[nodiscard]] Header header() const;
-  [[nodiscard]] SealPlan build_seal_plan(ml::Network& net, const char* ctx);
-  /// Durably commits a sealed plan (buffers from `sealed` + the iteration
-  /// counter) in one Romulus transaction, accumulating write_ns.
-  void commit_seal(const SealPlan& plan, ByteSpan sealed, std::uint64_t iteration);
+  /// The one walk of the layer list. Visits exactly hdr.num_layers distinct
+  /// nodes, each inside main, each with at most kMaxBuffersPerLayer buffers
+  /// whose extents (and siblings) lie inside main, and requires the last
+  /// node to end the list; throws PmError (naming `ctx`) otherwise. With
+  /// `net`, also checks the layout against the model (MlError on mismatch).
+  [[nodiscard]] LayerList walk(const Header& hdr, ml::Network* net, const char* ctx) const;
+  /// Validated walk + IV draw + cost plan of a save of `net`.
+  [[nodiscard]] SealedBlobs::SealPlan build_seal_plan(ml::Network& net, const char* ctx);
   /// Shared mirror_in / mirror_in_snapshot implementation; `snapshot`
   /// selects staged-then-install semantics over decrypt-in-place.
   std::uint64_t restore_model(ml::Network& net, bool snapshot);
-  /// Reads a layer node after validating that [node_off, node_off +
-  /// sizeof(LayerNode)) lies inside the PM main region; throws PmError
-  /// (naming `ctx`) on a corrupt offset. All layer-list walks use this.
-  [[nodiscard]] LayerNode checked_node(std::uint64_t node_off, const char* ctx) const;
-  void check_buffer_extent(const LayerNode& node, std::size_t b, const char* ctx) const;
 
   romulus::Romulus* rom_;
   sgx::EnclaveRuntime* enclave_;
-  crypto::AesGcm gcm_;
-  crypto::IvSequence iv_seq_;
   MirrorOptions options_;
-  MirrorStats stats_;
-  Bytes scratch_;
+  SealedBlobs blobs_;
   std::unique_ptr<AsyncSeal> async_;  // in-flight pipelined save, if any
 };
 

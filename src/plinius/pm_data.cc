@@ -3,6 +3,7 @@
 #include "obs/trace.h"
 
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -26,7 +27,28 @@ bool PmDataStore::exists() const {
 
 PmDataStore::Header PmDataStore::header() const {
   expects(exists(), "PmDataStore: no dataset in PM");
-  return rom_->read<Header>(rom_->root(kRootSlot));
+  const auto hdr = rom_->read<Header>(rom_->root(kRootSlot));
+  // The header is untrusted PM data and every record access indexes
+  // records_off + i * record_len with it, so the geometry must agree with
+  // itself and the whole record extent must lie inside main.
+  const std::uint64_t main = rom_->main_size();
+  const auto corrupt = [&](const std::string& what) {
+    return PmError("PmDataStore: corrupt header: " + what);
+  };
+  if (hdr.encrypted > 1) throw corrupt("encrypted flag " + std::to_string(hdr.encrypted));
+  if (hdr.x_cols == 0 || hdr.x_cols > main || hdr.y_cols > main) {
+    throw corrupt("record geometry " + std::to_string(hdr.x_cols) + " + " +
+                  std::to_string(hdr.y_cols) + " columns");
+  }
+  const std::uint64_t plain_len = (hdr.x_cols + hdr.y_cols) * sizeof(float);
+  const std::uint64_t record_len =
+      hdr.encrypted != 0 ? crypto::sealed_size(plain_len) : plain_len;
+  if (hdr.record_len != record_len) {
+    throw corrupt("record length " + std::to_string(hdr.record_len) + ", expected " +
+                  std::to_string(record_len));
+  }
+  rom_->check_table("PmDataStore", hdr.records_off, hdr.rows, hdr.rows, record_len);
+  return hdr;
 }
 
 std::size_t PmDataStore::rows() const { return header().rows; }

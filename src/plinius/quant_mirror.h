@@ -1,8 +1,11 @@
 // Quantized model mirror: the int8 serving snapshot in PM.
 //
-// Reuses the TensorMirror blob machinery (per-blob AES-GCM sealing, atomic
-// Romulus-transactional versioned updates, authenticate-before-install
-// restore) on its own root slot. Each layer contributes two sealed blobs —
+// A TensorMirror on its own root slot, so it runs on the sealed-blob engine
+// (plinius/sealed_blobs.h) shared with MirrorModel: per-blob AES-GCM sealing
+// with IVs in blob order, parallel seal and open priced as the critical path
+// over the enclave's TCS lanes, atomic Romulus-transactional versioned
+// updates, authenticate-before-install restore, and a PM table that fails
+// closed (PmError) when forged. Each layer contributes two sealed blobs —
 // "l<i>.w" (int8 weights) and "l<i>.b" (int32 biases) — plus one fixed-size
 // "meta" blob carrying geometry and scales, so a server can reconstruct the
 // QuantizedNetwork from PM alone. Because weights dominate and shrink from

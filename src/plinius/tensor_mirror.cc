@@ -1,6 +1,8 @@
 #include "plinius/tensor_mirror.h"
 
+#include <algorithm>
 #include <cstring>
+#include <string>
 #include <unordered_set>
 
 #include "common/error.h"
@@ -28,11 +30,7 @@ std::vector<NamedBlob> as_blobs(std::span<const NamedTensor> tensors) {
 
 TensorMirror::TensorMirror(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave,
                            crypto::AesGcm gcm, int root_slot)
-    : rom_(&rom),
-      enclave_(&enclave),
-      gcm_(std::move(gcm)),
-      iv_seq_(crypto::IvSequence::salted(enclave.rng())),
-      root_slot_(root_slot) {}
+    : rom_(&rom), enclave_(&enclave), root_slot_(root_slot), blobs_(rom, enclave, std::move(gcm)) {}
 
 bool TensorMirror::exists() const {
   const std::uint64_t off = rom_->root(root_slot_);
@@ -45,30 +43,62 @@ TensorMirror::Header TensorMirror::header() const {
 }
 
 std::vector<TensorMirror::Entry> TensorMirror::table(const Header& hdr) const {
+  rom_->check_table("TensorMirror", hdr.table_off, hdr.count, hdr.count, sizeof(Entry));
   std::vector<Entry> entries(hdr.count);
   for (std::uint64_t i = 0; i < hdr.count; ++i) {
-    entries[i] = rom_->read<Entry>(hdr.table_off + i * sizeof(Entry));
+    Entry& e = entries[i];
+    e = rom_->read<Entry>(hdr.table_off + i * sizeof(Entry));
+    if (std::memchr(e.name, '\0', sizeof(e.name)) == nullptr) {
+      throw PmError("TensorMirror: corrupt table: entry " + std::to_string(i) +
+                    " has an unterminated name");
+    }
+    blobs_.check_extent({e.sealed_off, 0, e.sealed_len}, "TensorMirror");
+    if (e.sealed_len - crypto::kSealOverhead != e.plain_len) {
+      throw PmError("TensorMirror: corrupt table: entry " + std::to_string(i) +
+                    " seals " + std::to_string(e.plain_len) + " bytes into " +
+                    std::to_string(e.sealed_len));
+    }
   }
   return entries;
+}
+
+std::vector<BlobExtent> TensorMirror::extents_for(std::span<const NamedBlob> blobs,
+                                                  const Header& hdr,
+                                                  const char* ctx) const {
+  const auto entries = table(hdr);
+  if (entries.size() != blobs.size()) {
+    throw MlError(std::string(ctx) + ": tensor count mismatch");
+  }
+  std::vector<BlobExtent> extents;
+  extents.reserve(blobs.size());
+  for (const auto& b : blobs) {
+    const auto it = std::find_if(entries.begin(), entries.end(),
+                                 [&](const Entry& e) { return b.name == e.name; });
+    if (it == entries.end()) {
+      throw MlError(std::string(ctx) + ": unknown tensor " + b.name);
+    }
+    if (it->plain_len != b.bytes.size()) {
+      throw MlError(std::string(ctx) + ": size mismatch for " + b.name);
+    }
+    extents.push_back({it->sealed_off, 0, it->sealed_len});
+  }
+  return extents;
 }
 
 std::uint64_t TensorMirror::version() const { return header().version; }
 std::size_t TensorMirror::tensor_count() const { return header().count; }
 
 std::vector<std::pair<std::string, std::size_t>> TensorMirror::blob_sizes() const {
-  const Header hdr = header();
   std::vector<std::pair<std::string, std::size_t>> out;
-  out.reserve(hdr.count);
-  for (const auto& e : table(hdr)) {
+  for (const auto& e : table(header())) {
     out.emplace_back(e.name, static_cast<std::size_t>(e.plain_len));
   }
   return out;
 }
 
 std::size_t TensorMirror::sealed_bytes() const {
-  const Header hdr = header();
   std::size_t total = 0;
-  for (const auto& e : table(hdr)) total += e.sealed_len;
+  for (const auto& e : table(header())) total += e.sealed_len;
   return total;
 }
 
@@ -107,79 +137,29 @@ void TensorMirror::alloc_blobs(std::span<const NamedBlob> blobs) {
 void TensorMirror::mirror_out_blobs(std::span<const NamedBlob> blobs,
                                     std::uint64_t version) {
   const Header hdr = header();
-  if (hdr.count != blobs.size()) {
-    throw MlError("TensorMirror::mirror_out: tensor count mismatch");
-  }
-  const auto entries = table(hdr);
-
+  const auto extents = extents_for(blobs, hdr, "TensorMirror::mirror_out");
   enclave_->charge_ecall();
-  rom_->run_transaction([&] {
-    rom_->tx_assign(rom_->root(root_slot_) + offsetof(Header, version), version);
-    for (const auto& b : blobs) {
-      const Entry* entry = nullptr;
-      for (const Entry& e : entries) {
-        if (b.name == e.name) {
-          entry = &e;
-          break;
-        }
-      }
-      if (entry == nullptr) {
-        throw MlError("TensorMirror::mirror_out: unknown tensor " + b.name);
-      }
-      if (entry->plain_len != b.bytes.size()) {
-        throw MlError("TensorMirror::mirror_out: size mismatch for " + b.name);
-      }
-
-      enclave_->touch_enclave(entry->plain_len);
-      enclave_->charge_crypto(entry->plain_len);
-      scratch_.resize(entry->sealed_len);
-      crypto::seal_into(gcm_, iv_seq_, ByteSpan(b.bytes.data(), b.bytes.size()),
-                        MutableByteSpan(scratch_.data(), scratch_.size()));
-      rom_->tx_store(entry->sealed_off, scratch_.data(), scratch_.size());
-    }
-  });
+  SealedBlobs::SealPlan plan;
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    blobs_.plan_seal(plan, extents[i], ByteSpan(blobs[i].bytes.data(), blobs[i].bytes.size()));
+  }
+  const ByteSpan sealed = blobs_.seal(plan);
+  blobs_.commit(plan, sealed, rom_->root(root_slot_) + offsetof(Header, version), version);
 }
 
 std::uint64_t TensorMirror::mirror_in_blobs(std::span<const NamedBlob> blobs) {
   const Header hdr = header();
-  if (hdr.count != blobs.size()) {
-    throw MlError("TensorMirror::mirror_in: tensor count mismatch");
-  }
-  const auto entries = table(hdr);
+  const auto extents = extents_for(blobs, hdr, "TensorMirror::mirror_in");
   enclave_->charge_ecall();
-
-  for (const auto& b : blobs) {
-    const Entry* entry = nullptr;
-    for (const auto& e : entries) {
-      if (b.name == e.name) {
-        entry = &e;
-        break;
-      }
-    }
-    if (entry == nullptr) {
-      throw MlError("TensorMirror::mirror_in: unknown tensor " + b.name);
-    }
-    if (entry->plain_len != b.bytes.size()) {
-      throw MlError("TensorMirror::mirror_in: size mismatch for " + b.name);
-    }
-    if (entry->sealed_off > rom_->main_size() ||
-        entry->sealed_len > rom_->main_size() - entry->sealed_off) {
-      throw PmError("TensorMirror::mirror_in: corrupt tensor offset in PM");
-    }
-
-    rom_->device().charge_read(entry->sealed_len);
-    if (enclave_->model().real_sgx) enclave_->copy_into_enclave(entry->sealed_len);
-    scratch_.resize(entry->sealed_len);
-    std::memcpy(scratch_.data(), rom_->main_base() + entry->sealed_off,
-                entry->sealed_len);
-
-    enclave_->charge_crypto(entry->sealed_len);
-    if (!crypto::open_into(gcm_, scratch_,
-                           MutableByteSpan(b.bytes.data(), b.bytes.size()))) {
-      throw CryptoError("TensorMirror::mirror_in: authentication failed for tensor " +
-                        b.name);
-    }
-    enclave_->charge_plain_copy(entry->plain_len);
+  std::vector<SealedBlobs::OpenTask> tasks;
+  tasks.reserve(blobs.size());
+  for (std::size_t i = 0; i < blobs.size(); ++i) {
+    tasks.push_back({extents[i], MutableByteSpan(blobs[i].bytes.data(), blobs[i].bytes.size())});
+  }
+  const std::size_t failed = blobs_.open(tasks);
+  if (failed < tasks.size()) {
+    throw CryptoError("TensorMirror::mirror_in: authentication failed for tensor " +
+                      blobs[failed].name);
   }
   return hdr.version;
 }

@@ -7,12 +7,18 @@
 //    using Plinius's mirroring mechanism."
 //
 // TensorMirror mirrors an arbitrary set of *named byte blobs* — named float
-// tensors (the shape TF checkpoints reduce to) are a thin wrapper — with the
-// same guarantees as the model mirror: AES-GCM sealing per blob, atomic
-// (Romulus-transactional) versioned updates, authentication on restore.
-// MirrorModel is the Darknet-specific layer-list instantiation; this is the
-// library-agnostic form. QuantMirror (plinius/quant_mirror.h) reuses the
-// blob form for int8 model snapshots on a separate root slot.
+// tensors (the shape TF checkpoints reduce to) are a thin wrapper. It is a
+// PM-layout schema (a header and a table of named entries under one root
+// slot) over the sealed-blob engine (plinius/sealed_blobs.h) that also runs
+// MirrorModel, so it gets the same protocol: per-blob AES-GCM sealing with
+// IVs drawn in the caller's blob order, parallel seal and open priced as the
+// critical path over the enclave's TCS lanes, atomic (Romulus-
+// transactional) versioned updates, and authentication on restore. The
+// table is untrusted PM data: its count, names and extents are validated
+// before use and fail closed with PmError. MirrorModel is the
+// Darknet-specific layer-list schema; this is the library-agnostic one.
+// QuantMirror (plinius/quant_mirror.h) reuses it for int8 model snapshots
+// on a separate root slot.
 #pragma once
 
 #include <cstdint>
@@ -21,8 +27,8 @@
 #include <utility>
 #include <vector>
 
-#include "crypto/envelope.h"
 #include "crypto/gcm.h"
+#include "plinius/sealed_blobs.h"
 #include "pm/root_slots.h"
 #include "romulus/romulus.h"
 #include "sgx/enclave.h"
@@ -61,7 +67,8 @@ class TensorMirror {
   void mirror_out_blobs(std::span<const NamedBlob> blobs, std::uint64_t version);
 
   /// Restores every blob (matched by name) from PM; returns the version.
-  /// Throws CryptoError on authentication failure, MlError on mismatch.
+  /// Throws CryptoError on authentication failure, MlError on mismatch,
+  /// PmError on a corrupt PM table.
   std::uint64_t mirror_in_blobs(std::span<const NamedBlob> blobs);
 
   /// Float-tensor convenience wrappers over the blob API.
@@ -95,14 +102,20 @@ class TensorMirror {
   static constexpr std::uint64_t kMagic = 0x504C54454E534F52ULL;  // "PLTENSOR"
 
   [[nodiscard]] Header header() const;
+  /// The entry table, validated: it lies inside main, every name is
+  /// NUL-terminated, and every extent is a well-formed in-range envelope of
+  /// its plain_len. Throws PmError otherwise.
   [[nodiscard]] std::vector<Entry> table(const Header& hdr) const;
+  /// The extent of each of `blobs` (caller order), matched by name and size
+  /// against the table; MlError on a mismatched set.
+  [[nodiscard]] std::vector<BlobExtent> extents_for(std::span<const NamedBlob> blobs,
+                                                    const Header& hdr,
+                                                    const char* ctx) const;
 
   romulus::Romulus* rom_;
   sgx::EnclaveRuntime* enclave_;
-  crypto::AesGcm gcm_;
-  crypto::IvSequence iv_seq_;
   int root_slot_;
-  Bytes scratch_;
+  SealedBlobs blobs_;
 };
 
 }  // namespace plinius

@@ -328,6 +328,21 @@ void Romulus::set_root(int slot, std::uint64_t value) {
   tx_assign(static_cast<std::size_t>(slot) * 8, value);
 }
 
+void Romulus::check_table(const char* ctx, std::uint64_t entries_off,
+                          std::uint64_t capacity, std::uint64_t count,
+                          std::size_t entry_size) const {
+  if (count > capacity) {
+    throw PmError(std::string(ctx) + ": corrupt header: count " + std::to_string(count) +
+                  " exceeds capacity " + std::to_string(capacity));
+  }
+  if (entries_off > main_size_ || capacity > (main_size_ - entries_off) / entry_size) {
+    throw PmError(std::string(ctx) + ": corrupt header: " + std::to_string(capacity) +
+                  " entries of " + std::to_string(entry_size) + " bytes at offset " +
+                  std::to_string(entries_off) + " exceed main size " +
+                  std::to_string(main_size_));
+  }
+}
+
 std::uint64_t Romulus::root(int slot) const {
   expects(slot >= 0 && slot < kRootSlots, "Romulus::root: bad slot");
   return read<std::uint64_t>(static_cast<std::size_t>(slot) * 8);

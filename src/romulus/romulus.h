@@ -147,6 +147,14 @@ class Romulus {
     return out;
   }
 
+  /// Validates the geometry of a persistent fixed-capacity table read from
+  /// PM: `count` <= `capacity`, and `capacity` entries of `entry_size` bytes
+  /// at `entries_off` lie inside main (computed without overflow). Throws
+  /// PmError naming `ctx` otherwise, so a forged header fails closed before
+  /// anything is sized or indexed from it.
+  void check_table(const char* ctx, std::uint64_t entries_off, std::uint64_t capacity,
+                   std::uint64_t count, std::size_t entry_size) const;
+
   // --- allocator ---------------------------------------------------------------
   /// Allocates `size` bytes in the main region; returns the offset within
   /// main. Must be called inside a transaction (metadata updates are

@@ -34,7 +34,10 @@ bool ModelRegistry::exists() const {
 
 ModelRegistry::Header ModelRegistry::header() const {
   if (!exists()) throw PmError("ModelRegistry: no registry in this region");
-  return rom_->read<Header>(rom_->root(kRootSlot));
+  const auto hdr = rom_->read<Header>(rom_->root(kRootSlot));
+  rom_->check_table("ModelRegistry", hdr.entries_off, hdr.capacity, hdr.count,
+                    sizeof(Entry));
+  return hdr;
 }
 
 ModelRegistry::Entry ModelRegistry::entry_at(std::size_t index) const {

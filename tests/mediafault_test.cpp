@@ -469,6 +469,46 @@ TEST_F(MirrorMediaTest, DataStoreThrowNamesRecordIndex) {
   }
 }
 
+TEST_F(MirrorMediaTest, DataStoreForgedHeaderFailsClosed) {
+  PmDataStore data(rom_, platform_.enclave(), test_gcm());
+  data.load(tiny_dataset());
+  // Header layout: magic, rows, x_cols, y_cols, record_len, encrypted,
+  // records_off — one u64 each.
+  const std::uint64_t hdr_off = rom_.root(PmDataStore::kRootSlot);
+  const auto forge = [&](std::size_t field, std::uint64_t value) {
+    const std::uint64_t at = hdr_off + field * sizeof(std::uint64_t);
+    const auto saved = rom_.read<std::uint64_t>(at);
+    rom_.run_transaction([&] { rom_.tx_assign(at, value); });
+    return saved;
+  };
+  const auto restore = [&](std::size_t field, std::uint64_t saved) {
+    rom_.run_transaction(
+        [&] { rom_.tx_assign(hdr_off + field * sizeof(std::uint64_t), saved); });
+  };
+
+  std::vector<float> x(4 * data.x_cols()), y(4 * data.y_cols());
+  const struct {
+    std::size_t field;
+    std::uint64_t value;
+  } forgeries[] = {
+      {6, std::uint64_t{1} << 40},   // records_off far outside main
+      {1, std::uint64_t{1} << 60},   // rows past the end of main
+      {4, data.record_bytes() + 1},  // record_len disagrees with the geometry
+      {5, 2},                        // encrypted flag neither 0 nor 1
+      {2, 0},                        // no feature columns
+  };
+  for (const auto& f : forgeries) {
+    SCOPED_TRACE("header field " + std::to_string(f.field));
+    const std::uint64_t saved = forge(f.field, f.value);
+    Rng rng(5);
+    EXPECT_THROW(data.read_record(0, x.data(), y.data()), PmError);
+    EXPECT_THROW(data.sample_batch(4, rng, x.data(), y.data()), PmError);
+    EXPECT_THROW((void)data.scrub_records(), PmError);
+    restore(f.field, saved);
+  }
+  data.read_record(0, x.data(), y.data());  // the restored header reads again
+}
+
 TEST_F(MirrorMediaTest, DataStoreResamplePolicySkipsRot) {
   PmDataStore data(rom_, platform_.enclave(), test_gcm());
   data.set_corrupt_policy(CorruptRecordPolicy::kResample);
@@ -587,6 +627,43 @@ TEST_F(MirrorMediaTest, CorruptRootSlotOffsetSurfacesPmErrorNotOob) {
   });
   EXPECT_THROW((void)mirror.exists(), PmError);
   EXPECT_THROW((void)mirror.iteration(), PmError);
+}
+
+TEST_F(MirrorMediaTest, LayerListWalksFailClosedOnSelfLoopAndTruncation) {
+  MirrorModel mirror(rom_, platform_.enclave(), test_gcm(), MirrorOptions{true});
+  mirror.alloc(net_);
+  mirror.mirror_out(net_, 2);
+  ASSERT_GT(net_.num_layers(), 1u);
+
+  // Header layout: magic, iteration, num_layers, head, replicated; a layer
+  // node starts with its next pointer.
+  const std::uint64_t head = rom_.read<std::uint64_t>(rom_.root(MirrorModel::kRootSlot) + 24);
+  const std::uint64_t next = rom_.read<std::uint64_t>(head);
+  const auto set_next = [&](std::uint64_t value) {
+    rom_.run_transaction([&] { rom_.tx_assign(head, value); });
+  };
+
+  for (const std::uint64_t forged : {head, std::uint64_t{0}}) {
+    SCOPED_TRACE(forged == head ? "self-loop" : "truncated");
+    set_next(forged);
+    sgx::ChargeStream stream = platform_.enclave().open_stream(1);
+    EXPECT_THROW(mirror.mirror_out(net_, 3), PmError);
+    EXPECT_THROW(mirror.begin_async_save(net_, 3, stream), PmError);
+    EXPECT_FALSE(mirror.async_save_pending());
+    EXPECT_THROW((void)mirror.mirror_in(net_), PmError);
+    EXPECT_THROW((void)mirror.mirror_in_snapshot(net_), PmError);
+    EXPECT_THROW((void)mirror.verify_integrity(net_), PmError);
+    EXPECT_THROW((void)mirror.scrub(net_), PmError);
+    EXPECT_THROW((void)mirror.sealed_extents(), PmError);
+    EXPECT_THROW((void)mirror.encryption_metadata_bytes(), PmError);
+    EXPECT_THROW(mirror.dispose(), PmError);  // frees nothing, twice or at all
+    set_next(next);
+  }
+
+  // The repaired list walks again, and nothing above committed.
+  EXPECT_EQ(mirror.iteration(), 2u);
+  EXPECT_EQ(mirror.verify_integrity(net_), 2u);
+  EXPECT_FALSE(mirror.sealed_extents().empty());
 }
 
 TEST_F(MirrorMediaTest, CheckpointRestoreFailureLeavesAttemptAheadOfCompletion) {

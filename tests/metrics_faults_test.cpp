@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "common/error.h"
 #include "ml/config.h"
@@ -12,6 +14,7 @@
 #include "plinius/platform.h"
 #include "plinius/trainer.h"
 #include "romulus/romulus.h"
+#include "serve/fleet/registry.h"
 
 namespace plinius {
 namespace {
@@ -96,6 +99,59 @@ TEST_F(MetricsLogTest, AppendIsAtomicUnderCrash) {
                              romulus::PwbPolicy::clflushopt_sfence());
   MetricsLog log2(recovered, platform_.enclave());
   EXPECT_EQ(log2.size(), 1u);  // the torn append is invisible
+}
+
+TEST_F(MetricsLogTest, ForgedTableHeadersFailClosed) {
+  Bytes key(16);
+  Rng(3).fill(key.data(), key.size());
+  RecoveryLog recovery(rom_, platform_.enclave());
+  ServeLog serve(rom_, platform_.enclave());
+  serve::fleet::ModelRegistry registry(rom_, platform_.enclave(), crypto::AesGcm(key));
+  log_.create(8);
+  recovery.create(8);
+  serve.create(8);
+  registry.create(8);
+  log_.append({1, 1.0f, 0.1f});
+  recovery.append({2, 10, 0, 1, 0});
+  serve.append({0, 5, 5, 0, 1, 1.0f, 2.0f, 3.0f});
+  Rng rng(4);
+  ml::Network net = ml::build_network(ml::make_cnn_config(2, 4, 8), rng);
+  (void)registry.publish(net);
+
+  // Every table header reads magic, capacity, count, entries_off first.
+  struct Table {
+    const char* name;
+    int slot;
+    std::function<void()> read_all;
+  };
+  const Table tables[] = {
+      {"MetricsLog", MetricsLog::kRootSlot, [&] { (void)log_.all(); }},
+      {"RecoveryLog", RecoveryLog::kRootSlot, [&] { (void)recovery.all(); }},
+      {"ServeLog", ServeLog::kRootSlot, [&] { (void)serve.all(); }},
+      {"ModelRegistry", serve::fleet::ModelRegistry::kRootSlot,
+       [&] { (void)registry.records(); }},
+  };
+  const struct {
+    std::size_t field;
+    std::uint64_t value;
+  } forgeries[] = {
+      {2, std::uint64_t{1} << 61},  // count sized from PM: 2^61 entries
+      {2, 9},                       // count one past capacity
+      {3, rom_.main_size() - 16},   // entries table runs past the end of main
+      {1, std::uint64_t{1} << 58},  // capacity that cannot fit in main
+  };
+  for (const Table& t : tables) {
+    const std::uint64_t hdr_off = rom_.root(t.slot);
+    for (const auto& f : forgeries) {
+      SCOPED_TRACE(std::string(t.name) + " header field " + std::to_string(f.field));
+      const std::uint64_t at = hdr_off + f.field * sizeof(std::uint64_t);
+      const auto saved = rom_.read<std::uint64_t>(at);
+      rom_.run_transaction([&] { rom_.tx_assign(at, f.value); });
+      EXPECT_THROW(t.read_all(), PmError);
+      rom_.run_transaction([&] { rom_.tx_assign(at, saved); });
+    }
+    t.read_all();  // the restored header reads again
+  }
 }
 
 // --- Trainer fault-injection sweep ----------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstring>
 #include <thread>
 
 #include "common/error.h"
@@ -148,6 +149,50 @@ TEST_F(TensorMirrorTest, TamperDetected) {
   }
   auto restored = tensor_set();
   EXPECT_THROW((void)mirror_.mirror_in(restored), Error);
+}
+
+TEST_F(TensorMirrorTest, ForgedTableFailsClosed) {
+  auto tensors = tensor_set();
+  mirror_.alloc(tensors);
+  mirror_.mirror_out(tensors, 1);
+  // Header layout: magic, version, count, table_off; each table entry
+  // starts with its 48-byte name.
+  const std::uint64_t hdr_off = rom_.root(TensorMirror::kRootSlot);
+  const std::uint64_t table_off = rom_.read<std::uint64_t>(hdr_off + 24);
+  const auto assign = [&](std::uint64_t off, std::uint64_t value) {
+    const auto saved = rom_.read<std::uint64_t>(off);
+    rom_.run_transaction([&] { rom_.tx_assign(off, value); });
+    return saved;
+  };
+  auto restored = tensor_set();
+
+  // A forged count sized from PM: no allocation, a typed error.
+  for (const std::uint64_t count : {std::uint64_t{1} << 61, std::uint64_t{100000}}) {
+    const std::uint64_t saved = assign(hdr_off + 16, count);
+    EXPECT_THROW((void)mirror_.blob_sizes(), PmError);
+    EXPECT_THROW((void)mirror_.sealed_bytes(), PmError);
+    EXPECT_THROW((void)mirror_.mirror_in(restored), PmError);
+    EXPECT_THROW(mirror_.mirror_out(tensors, 2), PmError);
+    assign(hdr_off + 16, saved);
+  }
+  // A table pushed past the end of main.
+  const std::uint64_t saved_table = assign(hdr_off + 24, rom_.main_size() - 8);
+  EXPECT_THROW((void)mirror_.blob_sizes(), PmError);
+  assign(hdr_off + 24, saved_table);
+
+  // A name with no NUL in its 48 bytes is never read as a C string.
+  Bytes name(48);
+  std::memcpy(name.data(), rom_.main_base() + table_off, name.size());
+  rom_.run_transaction([&] {
+    const Bytes unterminated(48, 'x');
+    rom_.tx_store(table_off, unterminated.data(), unterminated.size());
+  });
+  EXPECT_THROW((void)mirror_.blob_sizes(), PmError);
+  EXPECT_THROW((void)mirror_.mirror_in(restored), PmError);
+  rom_.run_transaction([&] { rom_.tx_store(table_off, name.data(), name.size()); });
+
+  EXPECT_EQ(mirror_.version(), 1u);
+  EXPECT_EQ(mirror_.mirror_in(restored), 1u);
 }
 
 // --- secure inference -----------------------------------------------------------
