@@ -25,6 +25,7 @@
 #include <span>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -38,8 +39,8 @@
 #include "obs/export.h"
 #include "obs/leakage.h"
 #include "obs/registry.h"
-#include "plinius/inference.h"
 #include "plinius/platform.h"
+#include "serve/server.h"
 
 using namespace plinius;
 using ml::ObliviousOptions;
@@ -147,11 +148,21 @@ int main(int argc, char** argv) {
     ml::Network net = make_net(/*seed=*/21);
     const Bytes key(16, 0);
     crypto::AesGcm gcm(key);
-    InferenceService service(platform, net, gcm);
+    serve::InferenceServer server(platform, net, gcm, {});
 
+    // Each secret input is one client-sealed query, served at batch 1.
     std::vector<std::vector<float>> inputs;
+    std::vector<serve::Request> queries;
+    crypto::IvSequence client_iv(1);
     for (std::size_t i = 0; i < secrets; ++i) {
       inputs.push_back(make_input(net.input_shape().size(), 100 + i));
+      serve::Request q;
+      q.id = i;
+      q.sealed_query = crypto::seal(
+          gcm, client_iv,
+          ByteSpan(reinterpret_cast<const std::uint8_t*>(inputs[i].data()),
+                   inputs[i].size() * sizeof(float)));
+      queries.push_back(std::move(q));
     }
     const ml::Dataset dataset = make_dataset(32, 256, 7);
     const std::vector<float> fixed_input = make_input(64, 5);
@@ -164,8 +175,8 @@ int main(int argc, char** argv) {
                         run_panel(
                             secrets,
                             [&](std::size_t i) {
-                              (void)service.classify(std::span<const float>(
-                                  inputs[i].data(), inputs[i].size()));
+                              (void)server.run(std::span<const serve::Request>(
+                                  &queries[i], 1));
                             },
                             oblivious)});
 

@@ -243,8 +243,6 @@ void PmDataStore::sample_batch(std::size_t batch, Rng& rng, float* x_out,
 std::vector<std::size_t> PmDataStore::scrub_records() {
   const Header hdr = header();
   std::vector<std::size_t> corrupt;
-  if (hdr.encrypted == 0) return corrupt;  // no MAC to check
-
   const std::size_t plain_len = (hdr.x_cols + hdr.y_cols) * sizeof(float);
   scratch_.resize(hdr.record_len);
   plain_scratch_.resize(hdr.x_cols + hdr.y_cols);
@@ -252,10 +250,15 @@ std::vector<std::size_t> PmDataStore::scrub_records() {
       reinterpret_cast<std::uint8_t*>(plain_scratch_.data()), plain_len);
   for (std::size_t r = 0; r < hdr.rows; ++r) {
     const std::size_t off = hdr.records_off + r * hdr.record_len;
-    rom_->device().scrub_range(rom_->main_region_offset() + off, hdr.record_len);
-    std::memcpy(scratch_.data(), rom_->main_base() + off, hdr.record_len);
-    enclave_->charge_crypto(hdr.record_len);
-    if (!crypto::open_into(gcm_, scratch_, plain_bytes)) {
+    const std::vector<std::size_t> poisoned =
+        rom_->device().scrub_range(rom_->main_region_offset() + off, hdr.record_len);
+    bool bad = !poisoned.empty();
+    if (hdr.encrypted != 0) {
+      std::memcpy(scratch_.data(), rom_->main_base() + off, hdr.record_len);
+      enclave_->charge_crypto(hdr.record_len);
+      bad |= !crypto::open_into(gcm_, scratch_, plain_bytes);
+    }
+    if (bad) {
       corrupt.push_back(r);
       ++stats_.corrupt_records;
     }

@@ -72,11 +72,11 @@ class PmDataStore {
   void set_corrupt_policy(CorruptRecordPolicy policy) noexcept { policy_ = policy; }
   [[nodiscard]] CorruptRecordPolicy corrupt_policy() const noexcept { return policy_; }
 
-  /// Scrub pass over every sealed record: authenticates each one (charging
-  /// scrub read traffic), returning the indices that fail. Records have no
-  /// replica, so corruption is reported, not repaired — kResample skips the
-  /// bad indices at training time. Plaintext stores have no MAC to check and
-  /// always report clean.
+  /// Scrub pass over every record (charging scrub read traffic), returning
+  /// the indices of records that overlap a poisoned line or, in an encrypted
+  /// store, fail authentication. Records have no replica, so corruption is
+  /// reported, not repaired — kResample skips the bad indices at training
+  /// time. A plaintext store has no MAC to check, so only poison shows.
   [[nodiscard]] std::vector<std::size_t> scrub_records();
 
   /// Main-relative extent of the record array (for fault injection and

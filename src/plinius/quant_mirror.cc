@@ -30,8 +30,13 @@ struct MetaLayer {
   float pad0;
 };
 
-std::string weight_name(std::size_t i) { return "l" + std::to_string(i) + ".w"; }
-std::string bias_name(std::size_t i) { return "l" + std::to_string(i) + ".b"; }
+// append() rather than "l" + to_string(i): GCC 12 flags the latter -Wrestrict.
+std::string weight_name(std::size_t i) {
+  return std::string("l").append(std::to_string(i)).append(".w");
+}
+std::string bias_name(std::size_t i) {
+  return std::string("l").append(std::to_string(i)).append(".b");
+}
 
 Bytes build_meta(const ml::QuantizedNetwork& qnet) {
   Bytes meta(sizeof(MetaHeader) + qnet.num_layers() * sizeof(MetaLayer));

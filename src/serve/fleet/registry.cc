@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <cstring>
+#include <span>
 #include <string>
 
 #include "common/error.h"
@@ -22,10 +22,7 @@ const char* to_string(VersionState state) noexcept {
 
 ModelRegistry::ModelRegistry(romulus::Romulus& rom, sgx::EnclaveRuntime& enclave,
                              crypto::AesGcm gcm)
-    : rom_(&rom),
-      enclave_(&enclave),
-      gcm_(std::move(gcm)),
-      iv_seq_(crypto::IvSequence::salted(enclave.rng())) {}
+    : rom_(&rom), enclave_(&enclave), blobs_(rom, enclave, std::move(gcm)) {}
 
 bool ModelRegistry::exists() const {
   const std::uint64_t off = rom_->root(kRootSlot);
@@ -71,19 +68,17 @@ void ModelRegistry::create(std::size_t capacity) {
 
 std::uint64_t ModelRegistry::publish_blob(ByteSpan blob, std::uint64_t dtype,
                                           std::uint64_t iterations) {
-  Header hdr = header();
+  const Header hdr = header();
   if (hdr.count >= hdr.capacity) {
     throw PmError("ModelRegistry: registry full (capacity " +
                   std::to_string(hdr.capacity) + ")");
   }
   enclave_->charge_ecall();
-  // Seal inside the registry enclave, then persist envelope + entry in one
-  // durable transaction so a crash never leaves a half-published version.
-  enclave_->charge_crypto(blob.size());
-  Bytes sealed(crypto::sealed_size(blob.size()));
-  crypto::seal_into(gcm_, iv_seq_, blob, MutableByteSpan(sealed));
-
+  // Extent, entry and envelope in one durable transaction (the engine's
+  // commit nests flat inside it, stamping the header count), so a crash
+  // never leaves a half-published version.
   const std::uint64_t version = hdr.next_version;
+  const std::uint64_t root = rom_->root(kRootSlot);
   rom_->run_transaction([&] {
     Entry e{};
     e.version = version;
@@ -91,13 +86,14 @@ std::uint64_t ModelRegistry::publish_blob(ByteSpan blob, std::uint64_t dtype,
     e.state = static_cast<std::uint64_t>(VersionState::kStaged);
     e.iterations = iterations;
     e.plain_len = blob.size();
-    e.sealed_len = sealed.size();
-    e.sealed_off = rom_->pmalloc(sealed.size());
-    rom_->tx_store(e.sealed_off, sealed.data(), sealed.size());
+    e.sealed_len = crypto::sealed_size(blob.size());
+    e.sealed_off = rom_->pmalloc(e.sealed_len);
+    SealedBlobs::SealPlan plan;
+    blobs_.plan_seal(plan, BlobExtent{e.sealed_off, 0, e.sealed_len}, blob);
+    const ByteSpan sealed = blobs_.seal(plan);
     rom_->tx_store(hdr.entries_off + hdr.count * sizeof(Entry), &e, sizeof(e));
-    const std::uint64_t root = rom_->root(kRootSlot);
-    rom_->tx_assign(root + offsetof(Header, count), hdr.count + 1);
     rom_->tx_assign(root + offsetof(Header, next_version), version + 1);
+    blobs_.commit(plan, sealed, root + offsetof(Header, count), hdr.count + 1);
   });
   ++publishes_;
   return version;
@@ -160,22 +156,19 @@ std::uint64_t ModelRegistry::serving_version() const {
 
 Bytes ModelRegistry::load_blob(std::uint64_t version) {
   const Entry e = entry_at(find(version));
-  if (e.sealed_off > rom_->main_size() ||
-      e.sealed_len > rom_->main_size() - e.sealed_off) {
-    throw PmError("ModelRegistry: corrupt sealed extent for version " +
-                  std::to_string(version));
+  const std::string ctx = "ModelRegistry version " + std::to_string(version);
+  const BlobExtent extent{e.sealed_off, 0, e.sealed_len};
+  blobs_.check_extent(extent, ctx.c_str());
+  if (e.sealed_len - crypto::kSealOverhead != e.plain_len) {
+    throw PmError(ctx + ": corrupt plain length " + std::to_string(e.plain_len) +
+                  " for sealed length " + std::to_string(e.sealed_len));
   }
   enclave_->charge_ecall();
-  rom_->device().charge_read(e.sealed_len);
-  if (enclave_->model().real_sgx) enclave_->copy_into_enclave(e.sealed_len);
-  Bytes sealed(e.sealed_len);
-  std::memcpy(sealed.data(), rom_->main_base() + e.sealed_off, e.sealed_len);
-  enclave_->charge_crypto(e.sealed_len);
   Bytes plain(e.plain_len);
-  if (!crypto::open_into(gcm_, ByteSpan(sealed), MutableByteSpan(plain))) {
+  const SealedBlobs::OpenTask task{extent, MutableByteSpan(plain)};
+  if (blobs_.open(std::span(&task, 1)) != 1) {
     ++load_failures_;
-    throw CryptoError("ModelRegistry: version " + std::to_string(version) +
-                      " failed authentication (tampered record?)");
+    throw CryptoError(ctx + " failed authentication (tampered record?)");
   }
   ++loads_;
   return plain;
@@ -183,13 +176,11 @@ Bytes ModelRegistry::load_blob(std::uint64_t version) {
 
 void ModelRegistry::load(std::uint64_t version, ml::Network& net) {
   const Bytes blob = load_blob(version);
-  enclave_->charge_plain_copy(blob.size());
   ml::deserialize_weights(net, ByteSpan(blob));
 }
 
 ml::QuantizedNetwork ModelRegistry::load_quantized(std::uint64_t version) {
   const Bytes blob = load_blob(version);
-  enclave_->charge_plain_copy(blob.size());
   return ml::deserialize_quantized(ByteSpan(blob));
 }
 

@@ -5,11 +5,13 @@
 // an AES-GCM envelope of the v2 weight blob (ml/serialize.h — float32 and
 // int8 entries share the registry, distinguished by the dtype header) plus
 // plaintext metadata (version number, dtype, training iteration, rollout
-// state). Records are appended and state transitions are applied under the
-// same Romulus transaction machinery as every other persistent structure,
-// so a crash mid-publish or mid-promotion can never tear the registry: the
-// fleet restarts, re-attaches, and finds either the old state or the new
-// one, with every weight blob still authenticated on load.
+// state). Each version's envelope is one blob of the sealed-blob engine
+// (plinius/sealed_blobs.h), sealed, committed and opened on the same path
+// as the PM mirrors' blobs. A publish and a state transition are each one
+// durable Romulus transaction, so a crash mid-publish or mid-promotion can
+// never tear the registry: the fleet restarts, re-attaches, and finds
+// either the old state or the new one, with every weight blob still
+// authenticated on load.
 //
 // The rollout state machine is persisted per record:
 //
@@ -19,20 +21,20 @@
 //                                    reload_failure)──▶ kRejected
 //
 // load_*() authenticates into staging before anything else is touched — a
-// tampered record throws CryptoError and the caller's serving model keeps
-// its old weights, which is what lets a canary replica survive a corrupt
-// rollout (tests/route_test.cpp).
+// tampered record throws CryptoError, a forged extent or length PmError, and
+// the caller's serving model keeps its old weights, which is what lets a
+// canary replica survive a corrupt rollout (tests/route_test.cpp).
 #pragma once
 
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "crypto/envelope.h"
 #include "crypto/gcm.h"
 #include "ml/network.h"
 #include "ml/quant.h"
 #include "ml/serialize.h"
+#include "plinius/sealed_blobs.h"
 #include "pm/root_slots.h"
 #include "romulus/romulus.h"
 #include "sgx/enclave.h"
@@ -104,7 +106,7 @@ class ModelRegistry {
 
   /// Authenticates and returns the plaintext weight blob of `version`.
   /// Throws CryptoError on tamper (counted in stats().load_failures),
-  /// PmError on an unknown version.
+  /// PmError on an unknown version or a corrupt extent or length.
   [[nodiscard]] Bytes load_blob(std::uint64_t version);
 
   /// Authenticated load of a float32 record into an architecturally
@@ -152,8 +154,7 @@ class ModelRegistry {
 
   romulus::Romulus* rom_;
   sgx::EnclaveRuntime* enclave_;
-  crypto::AesGcm gcm_;
-  crypto::IvSequence iv_seq_;
+  SealedBlobs blobs_;
   std::uint64_t publishes_ = 0;
   std::uint64_t loads_ = 0;
   std::uint64_t load_failures_ = 0;

@@ -155,8 +155,11 @@ InferenceServer::BatchCost InferenceServer::service_batch(
   reload_pending_ns_ = 0;
   // One ecall and one model touch for the whole batch — the amortization
   // batching exists for.
+  // The page hooks mirror EnclaveRuntime's charge sites for the leakage
+  // recorder (no-ops without one); the costs stay on the worker's timeline.
   cost.other_ns += enclave.ecall_task_ns();
   for (const Request* r : batch) {
+    obs::touch_pages("sgx.copy_in", 0, r->sealed_query.size());
     cost.other_ns += enclave.copy_in_task_ns(r->sealed_query.size());
   }
 
@@ -193,6 +196,7 @@ InferenceServer::BatchCost InferenceServer::service_batch(
   cost.forward_ns = static_cast<double>(b) *
                     static_cast<double>(model_forward_macs()) /
                     (model_macs_per_s() * static_cast<double>(lanes)) * 1e9;
+  obs::touch_pages("sgx.touch", 0, model_parameter_bytes());
   cost.other_ns += enclave.touch_task_ns(model_parameter_bytes());
 
   // Stage 3: seal the replies — IVs drawn serially (the per-key counter
@@ -214,6 +218,7 @@ InferenceServer::BatchCost InferenceServer::service_batch(
     }
   });
   for (std::size_t i = 0; i < b; ++i) {
+    obs::touch_pages("sgx.copy_out", 0, replies[i].size());
     cost.other_ns += enclave.copy_out_task_ns(replies[i].size());
   }
 

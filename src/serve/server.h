@@ -1,5 +1,7 @@
-// Secure inference server: the one-shot InferenceService turned into a
-// loaded, batched, multi-worker service on the simulated clock.
+// Secure inference server (paper §VI, "Secure inference"): the one path
+// that classifies client-sealed queries with an enclave model, as a loaded,
+// batched, multi-worker service on the simulated clock. A single query is a
+// one-request workload served at batch 1.
 //
 // The server is a discrete-event simulation driven by an arrival schedule
 // (serve/loadgen.h generates open-loop Poisson traffic). Per request:

@@ -5,15 +5,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 
 #include "common/error.h"
 #include "crypto/envelope.h"
 #include "ml/config.h"
 #include "ml/serialize.h"
 #include "ml/synth_digits.h"
-#include "plinius/inference.h"
 #include "plinius/platform.h"
 #include "plinius/trainer.h"
+#include "serve/server.h"
 #include "sgx/attestation.h"
 #include "spot/trace.h"
 
@@ -68,9 +69,32 @@ TEST(Integration, FullPaperWorkflow) {
   Trainer final_trainer(cloud, config, TrainerOptions{});
   final_trainer.load_dataset(digits.train);
   EXPECT_EQ(final_trainer.resume_or_init(), 60u);
+  // The client seals each test image; the server answers with a sealed
+  // prediction only the key holder can open.
   const crypto::AesGcm gcm{final_trainer.data_key()};
-  InferenceService service(cloud, final_trainer.network(), gcm);
-  const double acc = service.evaluate(digits.test);
+  serve::InferenceServer server(cloud, final_trainer.network(), gcm, {});
+  crypto::IvSequence client_iv(0xC11E);
+  std::size_t correct = 0;
+  for (std::size_t row = 0; row < digits.test.size(); ++row) {
+    serve::Request query;
+    query.id = row;
+    query.arrival_ns = cloud.clock().now();
+    query.sealed_query = crypto::seal(
+        gcm, client_iv,
+        ByteSpan(reinterpret_cast<const std::uint8_t*>(digits.test.x.row(row)),
+                 digits.test.x.cols * sizeof(float)));
+    const auto done = server.run(std::span<const serve::Request>(&query, 1));
+    ASSERT_EQ(done.size(), 1u);
+    const serve::OpenedReply reply = serve::open_reply(gcm, done.front().sealed_reply);
+    ASSERT_EQ(reply.status, serve::ReplyStatus::kOk);
+    const float* truth = digits.test.y.row(row);
+    std::size_t label = 0;
+    for (std::size_t c = 1; c < digits.test.y.cols; ++c) {
+      if (truth[c] > truth[label]) label = c;
+    }
+    correct += reply.value == label;
+  }
+  const double acc = static_cast<double>(correct) / static_cast<double>(digits.test.size());
   EXPECT_GT(acc, 0.5);
 
   // The persistent metrics log tells the whole story.

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "common/parallel.h"
@@ -22,8 +23,8 @@
 #include "ml/oblivious.h"
 #include "ml/softmax_layer.h"
 #include "obs/leakage.h"
-#include "plinius/inference.h"
 #include "plinius/platform.h"
+#include "serve/server.h"
 
 namespace plinius {
 namespace {
@@ -412,7 +413,9 @@ std::vector<float> train_and_collect_weights(bool traced, std::uint64_t seed) {
       weights.insert(weights.end(), p.values.begin(), p.values.end());
     }
   }
-  if (traced) EXPECT_GT(rec.size(), 0u);
+  if (traced) {
+    EXPECT_GT(rec.size(), 0u);
+  }
   return weights;
 }
 
@@ -457,23 +460,38 @@ TEST(LeakObservatory, ServePathEmitsMarksAndEnclavePageEvents) {
   ml::Network net = make_leak_net(91);
   const Bytes key(16, 0);
   crypto::AesGcm gcm(key);
-  InferenceService service(platform, net, gcm);
+  serve::InferenceServer server(platform, net, gcm, {});
   const auto input = make_secret_inputs(1, net.input_shape().size(), 9)[0];
+  crypto::IvSequence client_iv(1);
+  serve::Request query;
+  query.sealed_query = crypto::seal(
+      gcm, client_iv,
+      ByteSpan(reinterpret_cast<const std::uint8_t*>(input.data()),
+               input.size() * sizeof(float)));
 
   const LeakTrace t = obs::record_leak_trace([&] {
-    (void)service.classify(std::span<const float>(input.data(), input.size()));
+    (void)server.run(std::span<const serve::Request>(&query, 1));
   });
-  bool saw_request = false, saw_enclave_pages = false;
+  bool saw_batch = false, saw_enclave_pages = false;
+  bool saw_copy_in = false, saw_copy_out = false;
   for (const LeakEvent& ev : t) {
-    if (ev.kind == LeakKind::kMark && std::strcmp(ev.site, "serve.request") == 0) {
-      saw_request = true;
+    if (ev.kind == LeakKind::kMark && std::strcmp(ev.site, "serve.batch") == 0) {
+      saw_batch = true;
     }
     if (ev.kind == LeakKind::kPage && std::strcmp(ev.site, "sgx.touch") == 0) {
       saw_enclave_pages = true;
     }
+    if (ev.kind == LeakKind::kPage && std::strcmp(ev.site, "sgx.copy_in") == 0) {
+      saw_copy_in = true;
+    }
+    if (ev.kind == LeakKind::kPage && std::strcmp(ev.site, "sgx.copy_out") == 0) {
+      saw_copy_out = true;
+    }
   }
-  EXPECT_TRUE(saw_request);
+  EXPECT_TRUE(saw_batch);
   EXPECT_TRUE(saw_enclave_pages);
+  EXPECT_TRUE(saw_copy_in);
+  EXPECT_TRUE(saw_copy_out);
 }
 
 }  // namespace

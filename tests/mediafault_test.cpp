@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "ml/config.h"
@@ -535,6 +536,34 @@ TEST_F(MirrorMediaTest, PlaintextStoreScrubsClean) {
   PmDataStore data(rom_, platform_.enclave(), test_gcm(), /*encrypted=*/false);
   data.load(tiny_dataset());
   EXPECT_TRUE(data.scrub_records().empty());
+}
+
+TEST(DataStoreScrub, PoisonedLineReportsItsRecordInBothStoreKinds) {
+  for (const bool encrypted : {false, true}) {
+    SCOPED_TRACE(encrypted ? "encrypted store" : "plaintext store");
+    Platform platform(MachineProfile::emlsgx_pm(), 8 * 1024 * 1024);
+    romulus::Romulus rom(platform.pm(), 0, 3 * 1024 * 1024,
+                         romulus::PwbPolicy::clflushopt_sfence(), true);
+    PmDataStore data(rom, platform.enclave(), test_gcm(), encrypted);
+    data.load(tiny_dataset());
+    EXPECT_TRUE(data.scrub_records().empty());
+
+    // Poison one line in the middle of record 3 (a record spans many lines).
+    constexpr std::size_t kRecord = 3;
+    const std::size_t line = (rom.main_region_offset() + data.records_offset() +
+                              kRecord * data.record_bytes() + data.record_bytes() / 2) /
+                             pm::kCacheLine;
+    platform.pm().poison_line(line, /*seed=*/11);
+
+    const std::vector<std::size_t> corrupt = data.scrub_records();
+    ASSERT_EQ(corrupt.size(), 1u);
+    EXPECT_EQ(corrupt[0], kRecord);
+    ScrubOptions opts;
+    opts.scan_dataset = true;
+    const ScrubReport report = scrub_arena(rom, nullptr, nullptr, &data, opts);
+    EXPECT_EQ(report.corrupt_records, corrupt);
+    EXPECT_EQ(report.poisoned_lines, 1u);
+  }
 }
 
 // --- RecoveryLog --------------------------------------------------------------

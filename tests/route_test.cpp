@@ -23,6 +23,7 @@
 #include "plinius/pm_data.h"
 #include "plinius/quant_mirror.h"
 #include "plinius/tensor_mirror.h"
+#include "pm/faultpoint.h"
 #include "pm/root_slots.h"
 #include "romulus/romulus.h"
 #include "serve/fleet/autoscaler.h"
@@ -386,6 +387,105 @@ TEST_F(RegistryTest, CapacityAndUnknownVersionsThrow) {
   EXPECT_THROW((void)registry_.record(42), PmError);
   EXPECT_THROW(registry_.load_blob(42), PmError);
   EXPECT_THROW(registry_.create(4), PmError);  // already exists
+}
+
+TEST_F(RegistryTest, ForgedLengthsFailClosed) {
+  registry_.create(4);
+  ml::Network net = make_net(1);
+  const std::uint64_t v = registry_.publish(net);
+  const VersionRecord rec = registry_.record(v);
+
+  // Header: magic, capacity, count, entries_off, next_version. Entry:
+  // version, dtype, state, iterations, plain_len, sealed_off, sealed_len.
+  // One u64 each.
+  const std::uint64_t entry_off = rom_.read<std::uint64_t>(
+      rom_.root(ModelRegistry::kRootSlot) + 3 * sizeof(std::uint64_t));
+  const struct {
+    std::size_t field;
+    std::uint64_t value;
+  } forgeries[] = {
+      {4, std::uint64_t{1} << 61},         // plain_len sized from PM: 2^61 bytes
+      {4, rec.plain_len - 1},              // plain_len disagrees with the envelope
+      {6, crypto::kSealOverhead - 1},      // sealed_len shorter than the envelope
+      {6, rom_.main_size()},               // sealed extent runs past main
+  };
+  ml::Network victim = make_net(3);
+  const Bytes before = ml::serialize_weights(victim);
+  for (const auto& f : forgeries) {
+    SCOPED_TRACE("entry field " + std::to_string(f.field));
+    const std::uint64_t at = entry_off + f.field * sizeof(std::uint64_t);
+    const auto saved = rom_.read<std::uint64_t>(at);
+    rom_.run_transaction([&] { rom_.tx_assign(at, f.value); });
+    EXPECT_THROW((void)registry_.load_blob(v), PmError);
+    EXPECT_THROW(registry_.load(v, victim), PmError);
+    EXPECT_THROW((void)registry_.load_quantized(v), PmError);
+    rom_.run_transaction([&] { rom_.tx_assign(at, saved); });
+  }
+  // Rejected before any decryption: the caller's network is untouched and
+  // no authentication failure is counted.
+  EXPECT_EQ(ml::serialize_weights(victim), before);
+  EXPECT_EQ(registry_.stats().load_failures, 0u);
+  registry_.load(v, victim);  // the restored entry loads again
+  EXPECT_EQ(ml::serialize_weights(victim), ml::serialize_weights(net));
+}
+
+TEST(RegistryCrashSweep, CreatePublishSetStateIsAtomicAtEveryCrashPoint) {
+  constexpr std::size_t kMain = 1024 * 1024;
+  Platform platform(MachineProfile::emlsgx_pm(), romulus::Romulus::region_bytes(kMain),
+                    0x500);
+  {
+    romulus::Romulus rom(platform.pm(), 0, kMain, romulus::PwbPolicy::clflushopt_sfence(),
+                         /*format=*/true);
+  }
+  Rng rng(5);
+  ml::Network net = ml::build_network(ml::make_cnn_config(2, 4, 8), rng);
+  const Bytes want = ml::serialize_weights(net);
+
+  const auto workload = [&] {
+    romulus::Romulus rom(platform.pm(), 0, kMain, romulus::PwbPolicy::clflushopt_sfence());
+    ModelRegistry registry(rom, platform.enclave(), test_gcm());
+    registry.create(4);
+    const std::uint64_t v = registry.publish(net);
+    registry.set_state(v, VersionState::kServing);
+  };
+  std::size_t old_states = 0, new_states = 0;
+  const auto verify = [&] {
+    romulus::Romulus rom(platform.pm(), 0, kMain, romulus::PwbPolicy::clflushopt_sfence());
+    EXPECT_EQ(rom.header_state(), romulus::Romulus::State::kIdle);
+    rom.validate_allocator();
+    ModelRegistry registry(rom, platform.enclave(), test_gcm());
+    if (!registry.exists() || registry.size() == 0) {
+      // The old count: no version is visible, and the next publish reuses
+      // version 1 on a consistent heap.
+      ++old_states;
+      if (registry.exists()) {
+        EXPECT_THROW((void)registry.record(1), PmError);
+        EXPECT_EQ(registry.serving_version(), 0u);
+        EXPECT_EQ(registry.publish(net), 1u);
+        rom.validate_allocator();
+      } else {
+        EXPECT_EQ(rom.allocated_bytes(), 0u);
+      }
+      return;
+    }
+    // The new version: whole, and it authenticates.
+    ++new_states;
+    ASSERT_EQ(registry.size(), 1u);
+    const VersionRecord rec = registry.record(1);
+    EXPECT_TRUE(rec.state == VersionState::kStaged || rec.state == VersionState::kServing)
+        << to_string(rec.state);
+    Rng rng2(6);
+    ml::Network loaded = ml::build_network(ml::make_cnn_config(2, 4, 8), rng2);
+    registry.load(1, loaded);
+    EXPECT_EQ(ml::serialize_weights(loaded), want);
+  };
+
+  const pm::CrashSweepReport report = pm::sweep_crash_points(platform.pm(), workload, verify);
+  EXPECT_TRUE(report.exhaustive());
+  EXPECT_EQ(report.crashes, report.points);
+  EXPECT_EQ(report.points, 2 * report.workload_ops.total());
+  EXPECT_GT(old_states, 0u);
+  EXPECT_GT(new_states, 0u);
 }
 
 TEST(RegistryRestart, ReattachFindsSealedRecords) {

@@ -197,7 +197,9 @@ TEST_F(ServeTest, EveryRequestRepliedAndStagesAccountExactly) {
     EXPECT_TRUE(by_id.emplace(c.id, &c).second) << "duplicate reply id " << c.id;
     const OpenedReply opened = open_reply(*gcm_, c.sealed_reply);
     EXPECT_EQ(opened.status, c.status);
-    if (c.served()) EXPECT_EQ(opened.value, c.prediction);
+    if (c.served()) {
+      EXPECT_EQ(opened.value, c.prediction);
+    }
 
     // The per-stage accounting invariant.
     EXPECT_NEAR(c.stages.total(), c.done_ns - c.arrival_ns,

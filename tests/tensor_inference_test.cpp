@@ -1,19 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cstring>
-#include <thread>
+#include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
 #include "crypto/envelope.h"
 #include "ml/config.h"
 #include "ml/synth_digits.h"
-#include "plinius/inference.h"
 #include "plinius/platform.h"
 #include "plinius/tensor_mirror.h"
 #include "plinius/trainer.h"
 #include "romulus/romulus.h"
+#include "serve/request.h"
+#include "serve/server.h"
 
 namespace plinius {
 namespace {
@@ -197,6 +200,8 @@ TEST_F(TensorMirrorTest, ForgedTableFailsClosed) {
 
 // --- secure inference -----------------------------------------------------------
 
+// Secure inference (paper §VI) runs on serve::InferenceServer; a single
+// client query is a one-request workload served at batch 1.
 class InferenceTest : public ::testing::Test {
  protected:
   InferenceTest() : platform_(MachineProfile::emlsgx_pm(), 64 * 1024 * 1024) {
@@ -204,6 +209,39 @@ class InferenceTest : public ::testing::Test {
     opt.train_count = 2048;
     opt.test_count = 512;
     digits_ = ml::make_synth_digits(opt);
+  }
+
+  /// Client side: seals `len` bytes as a query arriving now.
+  serve::Request query(const crypto::AesGcm& gcm, crypto::IvSequence& iv,
+                       const void* plain, std::size_t len, std::uint64_t id = 0) {
+    serve::Request r;
+    r.id = id;
+    r.arrival_ns = platform_.clock().now();
+    r.sealed_query =
+        crypto::seal(gcm, iv, ByteSpan(static_cast<const std::uint8_t*>(plain), len));
+    return r;
+  }
+  serve::Request image_query(const crypto::AesGcm& gcm, crypto::IvSequence& iv,
+                             std::size_t row, std::uint64_t id = 0) {
+    return query(gcm, iv, digits_.test.x.row(row), ml::kDigitPixels * sizeof(float), id);
+  }
+
+  /// Serves one request at batch 1 and returns its sealed reply.
+  static Bytes serve_one(serve::InferenceServer& server, serve::Request request) {
+    const std::vector<serve::Completion> done =
+        server.run(std::span<const serve::Request>(&request, 1));
+    EXPECT_EQ(done.size(), 1u);
+    EXPECT_EQ(done.front().batch_size, 1u);
+    return done.front().sealed_reply;
+  }
+
+  std::size_t label(std::size_t row) const {
+    const float* truth = digits_.test.y.row(row);
+    std::size_t best = 0;
+    for (std::size_t c = 1; c < ml::kDigitClasses; ++c) {
+      if (truth[c] > truth[best]) best = c;
+    }
+    return best;
   }
 
   Platform platform_;
@@ -216,32 +254,22 @@ TEST_F(InferenceTest, SealedQueryRoundTrip) {
   (void)trainer.train(80);
 
   const crypto::AesGcm gcm{trainer.data_key()};
-  InferenceService service(platform_, trainer.network(), gcm);
-  EXPECT_EQ(service.input_size(), ml::kDigitPixels);
+  serve::InferenceServer server(platform_, trainer.network(), gcm, {});
+  EXPECT_EQ(trainer.network().input_shape().size(), ml::kDigitPixels);
 
   // Client side: seal a test image, query, open the sealed prediction.
   crypto::IvSequence client_iv(77);
   int correct = 0;
   const int n = 64;
   for (int i = 0; i < n; ++i) {
-    const float* img = digits_.test.x.row(i);
-    const auto sealed_query = crypto::seal(
-        gcm, client_iv,
-        ByteSpan(reinterpret_cast<const std::uint8_t*>(img),
-                 ml::kDigitPixels * sizeof(float)));
-    const Bytes sealed_reply = service.classify_sealed(sealed_query);
-    const std::size_t pred = InferenceService::open_prediction(gcm, sealed_reply);
-
-    const float* truth = digits_.test.y.row(i);
-    std::size_t label = 0;
-    for (std::size_t c = 1; c < ml::kDigitClasses; ++c) {
-      if (truth[c] > truth[label]) label = c;
-    }
-    correct += pred == label;
+    const Bytes sealed_reply = serve_one(server, image_query(gcm, client_iv, i));
+    const serve::OpenedReply reply = serve::open_reply(gcm, sealed_reply);
+    ASSERT_EQ(reply.status, serve::ReplyStatus::kOk);
+    correct += reply.value == label(i);
   }
   EXPECT_GT(correct, n * 3 / 4);  // trained model classifies well
-  EXPECT_EQ(service.stats().queries, static_cast<std::uint64_t>(n));
-  EXPECT_GT(service.stats().total_ns, 0.0);
+  EXPECT_EQ(server.stats().completed, static_cast<std::uint64_t>(n));
+  EXPECT_GT(server.stats().busy_ns, 0.0);
 }
 
 TEST_F(InferenceTest, TamperedQueryRejected) {
@@ -250,15 +278,21 @@ TEST_F(InferenceTest, TamperedQueryRejected) {
   (void)trainer.train(2);
 
   const crypto::AesGcm gcm{trainer.data_key()};
-  InferenceService service(platform_, trainer.network(), gcm);
+  serve::InferenceServer server(platform_, trainer.network(), gcm, {});
   crypto::IvSequence iv(1);
-  Bytes query = crypto::seal(
-      gcm, iv,
-      ByteSpan(reinterpret_cast<const std::uint8_t*>(digits_.test.x.row(0)),
-               ml::kDigitPixels * sizeof(float)));
-  query[40] ^= 0xFF;
-  EXPECT_THROW((void)service.classify_sealed(query), CryptoError);
-  EXPECT_THROW((void)service.classify_sealed(ByteSpan(query.data(), 10)), CryptoError);
+  serve::Request tampered = image_query(gcm, iv, 0);
+  tampered.sealed_query[40] ^= 0xFF;
+  serve::Request truncated = tampered;
+  truncated.sealed_query.resize(10);
+  // Either way the client gets a sealed auth-failed reply, never a plaintext
+  // error, and nothing is served.
+  for (const serve::Request& r : {tampered, truncated}) {
+    const serve::OpenedReply reply = serve::open_reply(gcm, serve_one(server, r));
+    EXPECT_EQ(reply.status, serve::ReplyStatus::kAuthFailed);
+    EXPECT_EQ(reply.value, 0u);
+  }
+  EXPECT_EQ(server.stats().auth_failed, 2u);
+  EXPECT_EQ(server.stats().completed, 0u);
 }
 
 TEST_F(InferenceTest, WrongKeyClientRejected) {
@@ -267,15 +301,17 @@ TEST_F(InferenceTest, WrongKeyClientRejected) {
   (void)trainer.train(2);
 
   const crypto::AesGcm gcm{trainer.data_key()};
-  InferenceService service(platform_, trainer.network(), gcm);
+  serve::InferenceServer server(platform_, trainer.network(), gcm, {});
   Bytes rogue_key(16, 0x66);
   const crypto::AesGcm rogue(rogue_key);
   crypto::IvSequence iv(1);
-  const Bytes query = crypto::seal(
-      rogue, iv,
-      ByteSpan(reinterpret_cast<const std::uint8_t*>(digits_.test.x.row(0)),
-               ml::kDigitPixels * sizeof(float)));
-  EXPECT_THROW((void)service.classify_sealed(query), CryptoError);
+  const Bytes sealed_reply = serve_one(server, image_query(rogue, iv, 0));
+  EXPECT_EQ(serve::open_reply(gcm, sealed_reply).status,
+            serve::ReplyStatus::kAuthFailed);
+  // The reply is sealed under the provisioned key: the rogue client cannot
+  // even read the rejection.
+  EXPECT_THROW((void)serve::open_reply(rogue, sealed_reply), CryptoError);
+  EXPECT_EQ(server.stats().auth_failed, 1u);
 }
 
 TEST_F(InferenceTest, WrongSizeQueryNamesExpectedVsGot) {
@@ -283,26 +319,31 @@ TEST_F(InferenceTest, WrongSizeQueryNamesExpectedVsGot) {
   trainer.load_dataset(digits_.train);
   (void)trainer.train(2);
   const crypto::AesGcm gcm{trainer.data_key()};
-  InferenceService service(platform_, trainer.network(), gcm);
+  serve::InferenceServer server(platform_, trainer.network(), gcm, {});
 
-  // A sealed query of the wrong plaintext size must be rejected before any
-  // decryption, with a message naming both sizes.
+  // An authentic query of the wrong plaintext size is rejected before any
+  // decryption, with a reply the size of a served one.
   crypto::IvSequence iv(3);
   std::vector<float> short_sample(ml::kDigitPixels - 1, 0.5f);
-  const Bytes query = crypto::seal(
-      gcm, iv,
-      ByteSpan(reinterpret_cast<const std::uint8_t*>(short_sample.data()),
-               short_sample.size() * sizeof(float)));
+  const Bytes sealed_reply = serve_one(
+      server, query(gcm, iv, short_sample.data(), short_sample.size() * sizeof(float)));
+  EXPECT_EQ(sealed_reply.size(), serve::kReplySealedSize);
+  const serve::OpenedReply reply = serve::open_reply(gcm, sealed_reply);
+  EXPECT_EQ(reply.status, serve::ReplyStatus::kAuthFailed);
+  EXPECT_EQ(reply.value, 0u);
+  EXPECT_EQ(server.stats().auth_failed, 1u);
+
+  // A reply cut short is rejected with a message naming both sizes.
   try {
-    (void)service.classify_sealed(query);
-    FAIL() << "wrong-size query must throw";
+    (void)serve::open_reply(gcm, ByteSpan(sealed_reply.data(), sealed_reply.size() - 2));
+    FAIL() << "wrong-size reply must throw";
   } catch (const CryptoError& e) {
     const std::string msg = e.what();
-    const std::size_t expected =
-        crypto::sealed_size(ml::kDigitPixels * sizeof(float));
-    EXPECT_NE(msg.find("expected " + std::to_string(expected)), std::string::npos)
+    EXPECT_NE(msg.find("expected " + std::to_string(serve::kReplySealedSize)),
+              std::string::npos)
         << msg;
-    EXPECT_NE(msg.find("got " + std::to_string(query.size())), std::string::npos)
+    EXPECT_NE(msg.find("got " + std::to_string(sealed_reply.size() - 2)),
+              std::string::npos)
         << msg;
   }
 }
@@ -312,40 +353,39 @@ TEST_F(InferenceTest, OpenPredictionRejectsTruncationTamperAndBadPayload) {
   trainer.load_dataset(digits_.train);
   (void)trainer.train(2);
   const crypto::AesGcm gcm{trainer.data_key()};
-  InferenceService service(platform_, trainer.network(), gcm);
+  serve::InferenceServer server(platform_, trainer.network(), gcm, {});
 
   crypto::IvSequence iv(5);
-  const Bytes query = crypto::seal(
-      gcm, iv,
-      ByteSpan(reinterpret_cast<const std::uint8_t*>(digits_.test.x.row(0)),
-               ml::kDigitPixels * sizeof(float)));
-  const Bytes reply = service.classify_sealed(query);
+  const Bytes reply = serve_one(server, image_query(gcm, iv, 0));
 
   // Truncated below the envelope overhead, truncated mid-ciphertext, and
   // MAC-corrupted replies must all fail as CryptoError.
-  EXPECT_THROW((void)InferenceService::open_prediction(gcm, ByteSpan(reply.data(), 4)),
+  EXPECT_THROW((void)serve::open_reply(gcm, ByteSpan(reply.data(), 4)), CryptoError);
+  EXPECT_THROW((void)serve::open_reply(gcm, ByteSpan(reply.data(), reply.size() - 1)),
                CryptoError);
-  EXPECT_THROW(
-      (void)InferenceService::open_prediction(gcm, ByteSpan(reply.data(), reply.size() - 1)),
-      CryptoError);
   Bytes mac_corrupt = reply;
   mac_corrupt[mac_corrupt.size() - 1] ^= 0x01;  // last MAC byte
-  EXPECT_THROW((void)InferenceService::open_prediction(gcm, mac_corrupt), CryptoError);
+  EXPECT_THROW((void)serve::open_reply(gcm, mac_corrupt), CryptoError);
 
   // An authentic envelope of the wrong payload size names expected vs got.
   crypto::IvSequence iv2(6);
   const Bytes bad_payload = crypto::seal(gcm, iv2, ByteSpan(reply.data(), 3));
   try {
-    (void)InferenceService::open_prediction(gcm, bad_payload);
+    (void)serve::open_reply(gcm, bad_payload);
     FAIL() << "bad payload size must throw";
   } catch (const CryptoError& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("expected 8"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("got 3"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("expected " + std::to_string(serve::kReplySealedSize)),
+              std::string::npos)
+        << msg;
+    EXPECT_NE(msg.find("got " + std::to_string(bad_payload.size())), std::string::npos)
+        << msg;
   }
 
   // The untampered reply still opens fine afterwards.
-  EXPECT_LT(InferenceService::open_prediction(gcm, reply), ml::kDigitClasses);
+  const serve::OpenedReply opened = serve::open_reply(gcm, reply);
+  EXPECT_EQ(opened.status, serve::ReplyStatus::kOk);
+  EXPECT_LT(opened.value, ml::kDigitClasses);
 }
 
 TEST_F(InferenceTest, ConcurrentSealedQueriesAreSafeAndAccounted) {
@@ -353,43 +393,44 @@ TEST_F(InferenceTest, ConcurrentSealedQueriesAreSafeAndAccounted) {
   trainer.load_dataset(digits_.train);
   (void)trainer.train(20);
   const crypto::AesGcm gcm{trainer.data_key()};
-  InferenceService service(platform_, trainer.network(), gcm);
+  ml::Network& net = trainer.network();
 
-  // Baseline predictions from a single thread.
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kPerThread = 16;
-  std::array<std::size_t, kThreads * kPerThread> expected{};
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    expected[i] = service.classify(std::span<const float>(
-        digits_.test.x.row(i), ml::kDigitPixels));
+  // Baseline predictions, one sample at a time.
+  constexpr std::size_t kWorkers = 4;
+  constexpr std::size_t kQueries = 64;
+  std::array<std::size_t, kQueries> expected{};
+  for (std::size_t i = 0; i < kQueries; ++i) {
+    net.predict(digits_.test.x.row(i), 1, &expected[i]);
   }
-  const std::uint64_t baseline_queries = service.stats().queries;
 
-  // Hammer the service from several host threads; every call must return
-  // the same prediction as the serial baseline (per-call scratch, forward
-  // serialized) and every query must be counted exactly once.
-  std::array<std::thread, kThreads> threads;
-  std::atomic<int> mismatches{0};
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads[t] = std::thread([&, t] {
-      crypto::IvSequence iv(100 + static_cast<std::uint32_t>(t));
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        const std::size_t row = t * kPerThread + i;
-        const Bytes query = crypto::seal(
-            gcm, iv,
-            ByteSpan(reinterpret_cast<const std::uint8_t*>(digits_.test.x.row(row)),
-                     ml::kDigitPixels * sizeof(float)));
-        const Bytes reply = service.classify_sealed(query);
-        if (InferenceService::open_prediction(gcm, reply) != expected[row]) {
-          mismatches.fetch_add(1);
-        }
-      }
-    });
+  // One burst served by four concurrent workers in batches of four (GCM
+  // opens and reply seals run host-parallel): every reply must carry the
+  // serial prediction and every query must be counted exactly once.
+  platform_.enclave().set_tcs_count(kWorkers);
+  serve::ServerOptions opt;
+  opt.workers = kWorkers;
+  opt.batch.max_batch = 4;
+  serve::InferenceServer server(platform_, net, gcm, opt);
+  ASSERT_EQ(server.workers(), kWorkers);
+  crypto::IvSequence iv(100);
+  std::vector<serve::Request> burst;
+  for (std::size_t i = 0; i < kQueries; ++i) burst.push_back(image_query(gcm, iv, i, i));
+  const std::vector<serve::Completion> done = server.run(burst);
+
+  ASSERT_EQ(done.size(), kQueries);
+  std::set<std::size_t> workers_used;
+  int mismatches = 0;
+  for (const serve::Completion& c : done) {
+    const serve::OpenedReply reply = serve::open_reply(gcm, c.sealed_reply);
+    if (reply.status != serve::ReplyStatus::kOk || reply.value != expected[c.id]) {
+      ++mismatches;
+    }
+    workers_used.insert(c.worker);
   }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(service.stats().queries, baseline_queries + kThreads * kPerThread);
-  EXPECT_EQ(service.stats().latency.count(), service.stats().queries);
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(workers_used.size(), kWorkers);
+  EXPECT_EQ(server.stats().completed, kQueries);
+  EXPECT_EQ(server.stats().total_hist.count(), server.stats().completed);
 }
 
 TEST_F(InferenceTest, EvaluateMatchesNetworkAccuracy) {
@@ -397,10 +438,26 @@ TEST_F(InferenceTest, EvaluateMatchesNetworkAccuracy) {
   trainer.load_dataset(digits_.train);
   (void)trainer.train(60);
   const crypto::AesGcm gcm{trainer.data_key()};
-  InferenceService service(platform_, trainer.network(), gcm);
-  const double acc = service.evaluate(digits_.test);
+  ml::Network& net = trainer.network();
+  serve::InferenceServer server(platform_, net, gcm, {});
+
+  // Every test row served at batch 1 gets the network's own prediction, so
+  // the served accuracy is the network's accuracy.
+  crypto::IvSequence iv(9);
+  std::size_t correct = 0;
+  for (std::size_t row = 0; row < digits_.test.size(); ++row) {
+    const serve::OpenedReply reply =
+        serve::open_reply(gcm, serve_one(server, image_query(gcm, iv, row)));
+    std::size_t want = 0;
+    net.predict(digits_.test.x.row(row), 1, &want);
+    ASSERT_EQ(reply.status, serve::ReplyStatus::kOk);
+    ASSERT_EQ(reply.value, want) << "row " << row;
+    correct += reply.value == label(row);
+  }
+  const double acc = static_cast<double>(correct) / static_cast<double>(digits_.test.size());
   EXPECT_GT(acc, 0.5);
   EXPECT_LE(acc, 1.0);
+  EXPECT_EQ(server.stats().completed, digits_.test.size());
 }
 
 }  // namespace
