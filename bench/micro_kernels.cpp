@@ -38,7 +38,7 @@ void BM_AesGcmSeal(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
-BENCHMARK(BM_AesGcmSeal)->Arg(4096)->Arg(1 << 20);
+BENCHMARK(BM_AesGcmSeal)->Arg(3136)->Arg(4096)->Arg(1 << 20)->Arg(9437184);
 
 void BM_AesGcmOpen(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -55,7 +55,7 @@ void BM_AesGcmOpen(benchmark::State& state) {
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
-BENCHMARK(BM_AesGcmOpen)->Arg(4096)->Arg(1 << 20);
+BENCHMARK(BM_AesGcmOpen)->Arg(3136)->Arg(4096)->Arg(1 << 20)->Arg(9437184);
 
 void BM_Sha256(benchmark::State& state) {
   Bytes data(static_cast<std::size_t>(state.range(0)));

@@ -129,12 +129,6 @@ void inv_mix_columns(std::uint8_t s[16]) {
   }
 }
 
-void big_endian_inc32(std::uint8_t counter[16]) {
-  for (int i = 15; i >= 12; --i) {
-    if (++counter[i] != 0) break;
-  }
-}
-
 }  // namespace
 
 Aes::Aes(ByteSpan key) {
@@ -214,22 +208,8 @@ void Aes::decrypt_block(const std::uint8_t in[16], std::uint8_t out[16]) const {
 void Aes::ctr_xcrypt(const std::uint8_t counter[16], ByteSpan in,
                      MutableByteSpan out) const {
   if (out.size() < in.size()) throw CryptoError("ctr_xcrypt: output too small");
-  if (use_aesni_) {
-    detail::aesni_ctr_xcrypt(enc_round_keys_.data(), rounds_, counter, in.data(),
-                             out.data(), in.size());
-    return;
-  }
-  std::uint8_t ctr[16];
-  std::memcpy(ctr, counter, 16);
-  std::uint8_t keystream[16];
-  std::size_t off = 0;
-  while (off < in.size()) {
-    encrypt_block(ctr, keystream);
-    const std::size_t n = std::min<std::size_t>(16, in.size() - off);
-    for (std::size_t i = 0; i < n; ++i) out[off + i] = in[off + i] ^ keystream[i];
-    big_endian_inc32(ctr);
-    off += n;
-  }
+  detail::active_gcm_kernel().run(
+      {.aes = *this, .counter = counter, .in = in.data(), .out = out.data(), .len = in.size()});
 }
 
 bool Aes::hw_accelerated() noexcept { return detail::aesni_supported(); }

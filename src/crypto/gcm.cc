@@ -1,6 +1,8 @@
 #include "crypto/gcm.h"
 
+#include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -46,7 +48,101 @@ bool clmul_verified() {
   return ok;
 }
 
+/// The single-block multiply for GHASH tails and H powers.
+void field_mul(const std::uint8_t x[16], const std::uint8_t h[16], std::uint8_t out[16]) {
+  if (clmul_verified()) {
+    detail::clmul_gf128_mul(x, h, out);
+  } else {
+    gf128_mul(x, h, out);
+  }
+}
+
+/// table = H^1..H^count, H = E_K(0^128), 16 bytes each.
+void fill_h_powers(const Aes& aes, std::uint8_t* table, std::size_t count) {
+  const std::uint8_t zero[16] = {};
+  aes.encrypt_block(zero, table);
+  for (std::size_t p = 1; p < count; ++p) field_mul(table + 16 * (p - 1), table, table + 16 * p);
+}
+
+/// The portable reference tier: one Aes::encrypt_block and one bit-serial
+/// gf128_mul per block.
+void portable_gcm(const detail::GcmJob& j) {
+  std::uint8_t ctr[16];
+  std::memcpy(ctr, j.counter, 16);
+  for (std::size_t off = 0; off < j.len; off += 16) {
+    const std::size_t n = std::min<std::size_t>(16, j.len - off);
+    std::uint8_t ks[16];
+    j.aes.encrypt_block(ctr, ks);
+    big_endian_inc32(ctr);
+    std::uint8_t ct[16] = {};  // zero-padded ciphertext block
+    if (!j.encrypt) std::memcpy(ct, j.in + off, n);
+    for (std::size_t i = 0; i < n; ++i) j.out[off + i] = j.in[off + i] ^ ks[i];
+    if (j.y == nullptr) continue;
+    if (j.encrypt) std::memcpy(ct, j.out + off, n);
+    xor_block(j.y, ct);
+    gf128_mul(j.y, j.hpow, j.y);
+  }
+}
+
+bool always_supported() noexcept { return true; }
+
+constexpr detail::GcmKernel kKernels[] = {
+    {"vaes512", detail::vaes512_gcm_supported, detail::vaes512_gcm},
+    {"aesni", detail::aesni_gcm_supported, detail::aesni_gcm},
+    {"portable", always_supported, portable_gcm},
+};
+
+/// Startup self-check of one SIMD tier: the same random jobs (both key
+/// sizes, all three directions, counters about to wrap, lengths around the
+/// 8- and 16-block steps with partial tails) through `k` and the portable
+/// tier must agree on every output byte and on the GHASH state.
+bool agrees_with_portable(const detail::GcmKernel& k) {
+  const detail::GcmKernel& ref = kKernels[std::size(kKernels) - 1];
+  Rng rng(0x6C3A5E1DULL);
+  for (const std::size_t key_len : {Aes::kKeySize128, Aes::kKeySize256}) {
+    Bytes key(key_len);
+    rng.fill(key.data(), key.size());
+    const Aes aes(key);
+    std::uint8_t hpow[16 * 16];
+    fill_h_powers(aes, hpow, 16);
+    for (const std::size_t len : {0, 1, 16, 100, 128, 255, 256, 383, 512, 1000, 4096 + 17}) {
+      Bytes in(len), want(len), got(len);
+      rng.fill(in.data(), in.size());
+      std::uint8_t ctr[16];
+      rng.fill(ctr, 16);
+      ctr[12] = ctr[13] = ctr[14] = 0xFF;  // the low word wraps inside the job
+      for (int dir = 0; dir < 3; ++dir) {
+        std::uint8_t y_want[16], y_got[16];
+        rng.fill(y_want, 16);
+        std::memcpy(y_got, y_want, 16);
+        const bool hash = dir > 0;
+        const bool encrypt = dir == 1;
+        ref.run({aes, ctr, in.data(), want.data(), len, hash ? y_want : nullptr, hpow, encrypt});
+        k.run({aes, ctr, in.data(), got.data(), len, hash ? y_got : nullptr, hpow, encrypt});
+        if (want != got || std::memcmp(y_want, y_got, 16) != 0) return false;
+      }
+    }
+  }
+  return true;
+}
+
 }  // namespace
+
+namespace detail {
+
+std::span<const GcmKernel> gcm_kernels() noexcept { return kKernels; }
+
+const GcmKernel& active_gcm_kernel() {
+  static const GcmKernel& active = []() -> const GcmKernel& {
+    for (const GcmKernel& k : kKernels) {
+      if (k.supported() && (k.run == portable_gcm || agrees_with_portable(k))) return k;
+    }
+    return kKernels[std::size(kKernels) - 1];
+  }();
+  return active;
+}
+
+}  // namespace detail
 
 void gf128_mul(const std::uint8_t x[16], const std::uint8_t h[16], std::uint8_t out[16]) {
   // Bit-serial multiply in the reflected GCM field (SP 800-38D §6.3).
@@ -76,20 +172,11 @@ void gf128_mul(const std::uint8_t x[16], const std::uint8_t h[16], std::uint8_t 
   for (int i = 0; i < 8; ++i) out[8 + i] = static_cast<std::uint8_t>(z_lo >> (56 - 8 * i));
 }
 
-Ghash::Ghash(const std::uint8_t h[16]) {
-  std::memcpy(h_.data(), h, 16);
-  use_clmul_ = clmul_verified();
-}
+Ghash::Ghash(const std::uint8_t h[16]) { std::memcpy(h_.data(), h, 16); }
 
 void Ghash::absorb_block(const std::uint8_t block[16]) {
   xor_block(y_.data(), block);
-  std::uint8_t out[16];
-  if (use_clmul_) {
-    detail::clmul_gf128_mul(y_.data(), h_.data(), out);
-  } else {
-    gf128_mul(y_.data(), h_.data(), out);
-  }
-  std::memcpy(y_.data(), out, 16);
+  field_mul(y_.data(), h_.data(), y_.data());
 }
 
 void Ghash::update(ByteSpan data) {
@@ -134,10 +221,9 @@ void Ghash::finish_lengths(std::uint64_t aad_bytes, std::uint64_t ct_bytes) {
 
 void Ghash::digest(std::uint8_t out[16]) const { std::memcpy(out, y_.data(), 16); }
 
-AesGcm::AesGcm(ByteSpan key) : aes_(key) {
-  const std::uint8_t zero[16] = {};
-  aes_.encrypt_block(zero, h_.data());
-}
+AesGcm::AesGcm(ByteSpan key) : aes_(key) { fill_h_powers(aes_, hpow_.data(), kHPowers); }
+
+AesGcm::~AesGcm() { secure_zero(hpow_.data(), hpow_.size()); }
 
 void AesGcm::derive_j0(ByteSpan iv, std::uint8_t j0[16]) const {
   if (iv.size() == kGcmIvSize) {
@@ -147,7 +233,7 @@ void AesGcm::derive_j0(ByteSpan iv, std::uint8_t j0[16]) const {
     return;
   }
   // General-length IV: J0 = GHASH(IV || pad || [0]64 || [len(IV) bits]64).
-  Ghash g(h_.data());
+  Ghash g(hpow_.data());
   g.update_padded(iv);
   std::uint8_t block[16] = {};
   put_be64(block + 8, static_cast<std::uint64_t>(iv.size()) * 8);
@@ -155,58 +241,40 @@ void AesGcm::derive_j0(ByteSpan iv, std::uint8_t j0[16]) const {
   g.digest(j0);
 }
 
-void AesGcm::encrypt(ByteSpan iv, ByteSpan aad, ByteSpan plain, MutableByteSpan cipher,
-                     std::uint8_t tag[kGcmTagSize]) const {
-  if (cipher.size() < plain.size()) throw CryptoError("AesGcm::encrypt: output too small");
-
+void AesGcm::crypt(ByteSpan iv, ByteSpan aad, const std::uint8_t* in, std::uint8_t* out,
+                   std::size_t len, bool encrypt, std::uint8_t tag[kGcmTagSize]) const {
   std::uint8_t j0[16];
   derive_j0(iv, j0);
-
   std::uint8_t ctr[16];
   std::memcpy(ctr, j0, 16);
   big_endian_inc32(ctr);
-  aes_.ctr_xcrypt(ctr, plain, cipher);
 
-  Ghash g(h_.data());
+  Ghash g(hpow_.data());
   g.update_padded(aad);
-  g.update_padded(ByteSpan(cipher.data(), plain.size()));
-  g.finish_lengths(aad.size(), plain.size());
+  detail::active_gcm_kernel().run(
+      {aes_, ctr, in, out, len, g.y_.data(), hpow_.data(), encrypt});
+  g.finish_lengths(aad.size(), len);
 
-  std::uint8_t s[16];
-  g.digest(s);
   std::uint8_t ekj0[16];
   aes_.encrypt_block(j0, ekj0);
-  for (int i = 0; i < 16; ++i) tag[i] = s[i] ^ ekj0[i];
+  for (int i = 0; i < 16; ++i) tag[i] = g.y_[i] ^ ekj0[i];
+}
+
+void AesGcm::encrypt(ByteSpan iv, ByteSpan aad, ByteSpan plain, MutableByteSpan cipher,
+                     std::uint8_t tag[kGcmTagSize]) const {
+  if (cipher.size() < plain.size()) throw CryptoError("AesGcm::encrypt: output too small");
+  crypt(iv, aad, plain.data(), cipher.data(), plain.size(), true, tag);
 }
 
 bool AesGcm::decrypt(ByteSpan iv, ByteSpan aad, ByteSpan cipher, MutableByteSpan plain,
                      const std::uint8_t tag[kGcmTagSize]) const {
   if (plain.size() < cipher.size()) throw CryptoError("AesGcm::decrypt: output too small");
-
-  std::uint8_t j0[16];
-  derive_j0(iv, j0);
-
-  Ghash g(h_.data());
-  g.update_padded(aad);
-  g.update_padded(cipher);
-  g.finish_lengths(aad.size(), cipher.size());
-
-  std::uint8_t s[16];
-  g.digest(s);
-  std::uint8_t ekj0[16];
-  aes_.encrypt_block(j0, ekj0);
-  std::uint8_t expected[16];
-  for (int i = 0; i < 16; ++i) expected[i] = s[i] ^ ekj0[i];
-
-  if (!secure_equal(ByteSpan(expected, 16), ByteSpan(tag, kGcmTagSize))) {
-    std::memset(plain.data(), 0, cipher.size());
+  std::uint8_t expected[kGcmTagSize];
+  crypt(iv, aad, cipher.data(), plain.data(), cipher.size(), false, expected);
+  if (!secure_equal(ByteSpan(expected, kGcmTagSize), ByteSpan(tag, kGcmTagSize))) {
+    if (!cipher.empty()) std::memset(plain.data(), 0, cipher.size());
     return false;
   }
-
-  std::uint8_t ctr[16];
-  std::memcpy(ctr, j0, 16);
-  big_endian_inc32(ctr);
-  aes_.ctr_xcrypt(ctr, cipher, plain);
   return true;
 }
 

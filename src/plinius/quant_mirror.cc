@@ -170,9 +170,10 @@ std::uint64_t QuantMirror::load(ml::QuantizedNetwork& qnet) {
                     std::to_string(i));
     }
     l.weights.resize(m.weight_count);
-    std::memcpy(l.weights.data(), wbuf->data(), wbuf->size());
     l.biases.resize(m.bias_count);
-    std::memcpy(l.biases.data(), bbuf->data(), bbuf->size());
+    // A layer without parameters has null buffers, which memcpy must not see.
+    if (!wbuf->empty()) std::memcpy(l.weights.data(), wbuf->data(), wbuf->size());
+    if (!bbuf->empty()) std::memcpy(l.biases.data(), bbuf->data(), bbuf->size());
     fresh.layers().push_back(std::move(l));
   }
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include "common/bytes.h"
 #include "common/error.h"
@@ -432,6 +435,295 @@ TEST(Envelope, SaltedSequencesFromDistinctRngsDiffer) {
   const IvSequence sa = IvSequence::salted(a);
   const IvSequence sb = IvSequence::salted(b);
   EXPECT_NE(sa.salt(), sb.salt());
+}
+
+// --- GCM kernel tiers against a test-local portable reference ---------------
+//
+// The reference below is built only from Aes::encrypt_block and gf128_mul,
+// straight from SP 800-38D; every kernel tier the CPU supports must match it
+// byte for byte, through the library's AesGcm and through a direct call.
+
+using HPow = std::array<std::uint8_t, 16 * 16>;
+
+HPow ref_hpow(const Aes& aes) {
+  HPow t{};
+  const std::uint8_t zero[16] = {};
+  aes.encrypt_block(zero, t.data());
+  for (int p = 1; p < 16; ++p) gf128_mul(t.data() + 16 * (p - 1), t.data(), t.data() + 16 * p);
+  return t;
+}
+
+void ref_ghash(const std::uint8_t h[16], std::uint8_t y[16], ByteSpan data) {
+  for (std::size_t off = 0; off < data.size(); off += 16) {
+    std::uint8_t block[16] = {};
+    std::memcpy(block, data.data() + off, std::min<std::size_t>(16, data.size() - off));
+    for (int i = 0; i < 16; ++i) y[i] ^= block[i];
+    gf128_mul(y, h, y);
+  }
+}
+
+void ref_ctr(const Aes& aes, const std::uint8_t counter[16], ByteSpan in, std::uint8_t* out) {
+  std::uint32_t low = (std::uint32_t(counter[12]) << 24) | (std::uint32_t(counter[13]) << 16) |
+                      (std::uint32_t(counter[14]) << 8) | std::uint32_t(counter[15]);
+  for (std::size_t off = 0; off < in.size(); off += 16, ++low) {
+    std::uint8_t block[16], ks[16];
+    std::memcpy(block, counter, 12);  // the upper 96 bits never change
+    for (int i = 0; i < 4; ++i) block[12 + i] = static_cast<std::uint8_t>(low >> (24 - 8 * i));
+    aes.encrypt_block(block, ks);
+    for (std::size_t i = 0; i < 16 && off + i < in.size(); ++i) out[off + i] = in[off + i] ^ ks[i];
+  }
+}
+
+void put_lengths(std::uint8_t block[16], std::size_t aad, std::size_t text) {
+  for (int i = 0; i < 8; ++i) {
+    block[i] = static_cast<std::uint8_t>(std::uint64_t(aad) * 8 >> (56 - 8 * i));
+    block[8 + i] = static_cast<std::uint8_t>(std::uint64_t(text) * 8 >> (56 - 8 * i));
+  }
+}
+
+// GCM with a 12-byte IV. `k` == nullptr runs the reference; otherwise the
+// CTR + GHASH pass over the text runs on kernel `k`. Returns the tag; `out`
+// receives the transformed text.
+std::array<std::uint8_t, 16> gcm_tag(const detail::GcmKernel* k, const Aes& aes,
+                                     const HPow& hpow, ByteSpan iv, ByteSpan aad,
+                                     ByteSpan in, std::uint8_t* out, bool encrypt) {
+  std::uint8_t j0[16] = {}, ctr[16];
+  std::memcpy(j0, iv.data(), 12);
+  j0[15] = 1;
+  std::memcpy(ctr, j0, 16);
+  ctr[15] = 2;
+  std::uint8_t y[16] = {};
+  ref_ghash(hpow.data(), y, aad);
+  if (k == nullptr) {
+    ref_ctr(aes, ctr, in, out);
+    ref_ghash(hpow.data(), y, encrypt ? ByteSpan(out, in.size()) : in);
+  } else {
+    k->run({aes, ctr, in.data(), out, in.size(), y, hpow.data(), encrypt});
+  }
+  std::uint8_t lengths[16];
+  put_lengths(lengths, aad.size(), in.size());
+  ref_ghash(hpow.data(), y, ByteSpan(lengths, 16));
+  std::array<std::uint8_t, 16> tag;
+  aes.encrypt_block(j0, tag.data());
+  for (int i = 0; i < 16; ++i) tag[i] ^= y[i];
+  return tag;
+}
+
+std::vector<const detail::GcmKernel*> supported_kernels() {
+  std::vector<const detail::GcmKernel*> out;
+  for (const auto& k : detail::gcm_kernels()) {
+    if (k.supported()) out.push_back(&k);
+  }
+  return out;
+}
+
+// Compares every supported tier and AesGcm with the reference on one message.
+void expect_all_tiers_match(const Aes& aes, const AesGcm& gcm, ByteSpan iv, ByteSpan aad,
+                            ByteSpan plain, std::uint8_t* in_ptr, std::uint8_t* out_ptr) {
+  const HPow hpow = ref_hpow(aes);
+  Bytes want(plain.size());
+  const auto want_tag = gcm_tag(nullptr, aes, hpow, iv, aad, plain, want.data(), true);
+
+  std::copy(plain.begin(), plain.end(), in_ptr);
+  std::uint8_t tag[16];
+  gcm.encrypt(iv, aad, ByteSpan(in_ptr, plain.size()), MutableByteSpan(out_ptr, plain.size()),
+              tag);
+  ASSERT_TRUE(std::equal(want.begin(), want.end(), out_ptr)) << "AesGcm len " << plain.size();
+  ASSERT_EQ(0, std::memcmp(tag, want_tag.data(), 16)) << "AesGcm len " << plain.size();
+
+  for (const auto* k : supported_kernels()) {
+    const auto enc_tag = gcm_tag(k, aes, hpow, iv, aad, ByteSpan(in_ptr, plain.size()),
+                                 out_ptr, true);
+    ASSERT_TRUE(std::equal(want.begin(), want.end(), out_ptr))
+        << k->name << " encrypt len " << plain.size() << " aad " << aad.size();
+    ASSERT_EQ(enc_tag, want_tag) << k->name << " len " << plain.size() << " aad " << aad.size();
+    const auto dec_tag = gcm_tag(k, aes, hpow, iv, aad, want, out_ptr, false);
+    ASSERT_TRUE(std::equal(plain.begin(), plain.end(), out_ptr))
+        << k->name << " decrypt len " << plain.size();
+    ASSERT_EQ(dec_tag, want_tag) << k->name << " decrypt len " << plain.size();
+  }
+}
+
+TEST(GcmKernels, ActiveTierIsTheFastestSupportedOne) {
+  const auto kernels = detail::gcm_kernels();
+  ASSERT_GE(kernels.size(), 2u);
+  EXPECT_STREQ(kernels.back().name, "portable");
+  EXPECT_TRUE(kernels.back().supported());
+  // Every tier the CPU supports passed its startup self-check, so none was
+  // skipped in favour of a slower one.
+  EXPECT_EQ(&detail::active_gcm_kernel(), supported_kernels().front());
+}
+
+TEST(GcmKernels, EveryLengthUpTo600WithAadUpTo48MatchesReference) {
+  Rng rng(30);
+  for (const std::size_t key_len : {Aes::kKeySize128, Aes::kKeySize256}) {
+    Bytes key(key_len), iv(12), buf_in(600), buf_out(600);
+    rng.fill(key.data(), key.size());
+    const Aes aes(key);
+    const AesGcm gcm(key);
+    for (std::size_t len = 0; len <= 600; ++len) {
+      Bytes plain(len);
+      rng.fill(plain.data(), plain.size());
+      // Every AAD length with AES-128; AES-256 cycles through them.
+      const std::size_t aad_first = key_len == Aes::kKeySize128 ? 0 : len % 49;
+      const std::size_t aad_last = key_len == Aes::kKeySize128 ? 48 : len % 49;
+      for (std::size_t aad_len = aad_first; aad_len <= aad_last; ++aad_len) {
+        Bytes aad(aad_len);
+        rng.fill(aad.data(), aad.size());
+        rng.fill(iv.data(), iv.size());
+        expect_all_tiers_match(aes, gcm, iv, aad, plain, buf_in.data(), buf_out.data());
+        if (HasFatalFailure()) return;
+      }
+    }
+  }
+}
+
+TEST(GcmKernels, WorkloadSizesMatchReference) {
+  Rng rng(31);
+  Bytes key(16), iv(12), aad(20);
+  rng.fill(key.data(), key.size());
+  const Aes aes(key);
+  const AesGcm gcm(key);
+  // A serve query, 1 MiB with a partial tail, and one fig7 layer.
+  for (const std::size_t len : {std::size_t{3136}, (std::size_t{1} << 20) + 13,
+                                std::size_t{9437184}}) {
+    Bytes plain(len), in(len), out(len);
+    rng.fill(plain.data(), plain.size());
+    rng.fill(iv.data(), iv.size());
+    rng.fill(aad.data(), aad.size());
+    expect_all_tiers_match(aes, gcm, iv, aad, plain, in.data(), out.data());
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(GcmKernels, UnalignedBuffersMatchReference) {
+  Rng rng(32);
+  Bytes key(16), iv(12);
+  rng.fill(key.data(), key.size());
+  const Aes aes(key);
+  const AesGcm gcm(key);
+  for (std::size_t in_off = 1; in_off < 16; ++in_off) {
+    const std::size_t out_off = 16 - in_off;
+    const std::size_t len = 1000 + 37 * in_off;  // crosses the 8- and 16-block steps
+    Bytes plain(len), in(len + 16), out(len + 16);
+    rng.fill(plain.data(), plain.size());
+    rng.fill(iv.data(), iv.size());
+    expect_all_tiers_match(aes, gcm, iv, {}, plain, in.data() + in_off, out.data() + out_off);
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(GcmKernels, CtrCounterWrapsInsideTheLow32Bits) {
+  Rng rng(33);
+  Bytes key(16);
+  rng.fill(key.data(), key.size());
+  const Aes aes(key);
+  std::uint8_t counter[16];
+  rng.fill(counter, 12);
+  const std::uint8_t low[4] = {0xFF, 0xFF, 0xFF, 0xF0};
+  std::memcpy(counter + 12, low, 4);
+  const Bytes zeros(64 * 16, 0);
+
+  // Expected keystream: bytes 0..11 of every counter block stay put; the low
+  // word runs 0xFFFFFFF0..0xFFFFFFFF, then 0x00000000..0x0000002F.
+  Bytes want(zeros.size());
+  for (std::uint32_t i = 0; i < 64; ++i) {
+    std::uint8_t block[16];
+    std::memcpy(block, counter, 12);
+    const std::uint32_t w = 0xFFFFFFF0u + i;
+    for (int b = 0; b < 4; ++b) block[12 + b] = static_cast<std::uint8_t>(w >> (24 - 8 * b));
+    aes.encrypt_block(block, want.data() + 16 * i);
+  }
+
+  Bytes got(zeros.size());
+  aes.ctr_xcrypt(counter, zeros, got);
+  EXPECT_EQ(to_hex(got), to_hex(want)) << "Aes::ctr_xcrypt";
+  for (const auto* k : supported_kernels()) {
+    Bytes out(zeros.size());
+    k->run({aes, counter, zeros.data(), out.data(), zeros.size()});
+    EXPECT_EQ(to_hex(out), to_hex(want)) << k->name;
+  }
+}
+
+TEST(GcmKernels, TamperedMegabyteRejectedWithPlainZeroed) {
+  Rng rng(34);
+  Bytes key(16), iv(12);
+  rng.fill(key.data(), key.size());
+  rng.fill(iv.data(), iv.size());
+  const Aes aes(key);
+  const AesGcm gcm(key);
+  const HPow hpow = ref_hpow(aes);
+  const std::size_t len = (std::size_t{1} << 20) + 13;
+  Bytes plain(len), ct(len);
+  rng.fill(plain.data(), plain.size());
+  std::uint8_t tag[16];
+  gcm.encrypt(iv, {}, plain, ct, tag);
+
+  struct Flip {
+    std::size_t byte;
+    std::uint8_t mask;
+    const char* what;
+  };
+  for (const Flip f : {Flip{17 * 16 + 5, 0x10, "block 17"}, Flip{len - 1, 0x80, "last partial byte"}}) {
+    Bytes bad = ct;
+    bad[f.byte] ^= f.mask;
+    Bytes back(len, 0xAA);
+    EXPECT_FALSE(gcm.decrypt(iv, {}, bad, back, tag)) << f.what;
+    EXPECT_TRUE(std::all_of(back.begin(), back.end(), [](std::uint8_t b) { return b == 0; }))
+        << f.what;
+    for (const auto* k : supported_kernels()) {
+      Bytes out(len);
+      const auto t = gcm_tag(k, aes, hpow, iv, {}, bad, out.data(), false);
+      EXPECT_NE(0, std::memcmp(t.data(), tag, 16)) << k->name << " " << f.what;
+    }
+  }
+  Bytes back(len);
+  EXPECT_TRUE(gcm.decrypt(iv, {}, ct, back, tag));
+  EXPECT_EQ(back, plain);
+}
+
+// --- Known-answer pins for the sealed bytes ----------------------------------
+//
+// SHA-256 of seal_into_iv's output (IV || CT || MAC) for a fixed key, IV and
+// plaintext, recorded with the one-block GHASH / 4-wide CTR implementation
+// that preceded the kernel tiers. A moved sealed byte fails here.
+
+Bytes kat_plain(std::size_t n) {
+  Bytes p(n);
+  for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::uint8_t>((i * 2654435761u) >> 24);
+  return p;
+}
+
+TEST(SealedBytes, KnownAnswerDigestsOnEveryKernel) {
+  Bytes key(16);
+  for (int i = 0; i < 16; ++i) key[i] = static_cast<std::uint8_t>(i);
+  const std::uint8_t iv[kGcmIvSize] = {0xca, 0xfe, 0xba, 0xbe, 0, 0, 0, 0, 0, 0, 0, 0x2a};
+  const Aes aes(key);
+  const AesGcm gcm(key);
+  const HPow hpow = ref_hpow(aes);
+  struct Case {
+    std::size_t len;
+    const char* sha256;
+  };
+  for (const Case c :
+       {Case{3136, "62b6467fbda8bd5abd062f62c20002be469d64d8ecb08f7fdbca3cf131c03760"},
+        Case{9437184, "a5aa99f1c0c0e3f27644d901867052aa1a75f0f48f2840d49fbfde64e0a986d8"}}) {
+    const Bytes plain = kat_plain(c.len);
+    Bytes sealed(sealed_size(c.len));
+    seal_into_iv(gcm, iv, plain, sealed);
+    const auto d = Sha256::hash(sealed);
+    EXPECT_EQ(to_hex(ByteSpan(d.data(), d.size())), c.sha256) << "seal_into_iv " << c.len;
+
+    for (const auto* k : supported_kernels()) {
+      Bytes by_kernel(sealed_size(c.len));
+      std::memcpy(by_kernel.data(), iv, kGcmIvSize);
+      const auto tag = gcm_tag(k, aes, hpow, ByteSpan(iv, kGcmIvSize), {}, plain,
+                               by_kernel.data() + kGcmIvSize, true);
+      std::memcpy(by_kernel.data() + kGcmIvSize + c.len, tag.data(), 16);
+      const auto dk = Sha256::hash(by_kernel);
+      EXPECT_EQ(to_hex(ByteSpan(dk.data(), dk.size())), c.sha256) << k->name << " " << c.len;
+    }
+  }
 }
 
 // --- SHA-256 / HMAC ----------------------------------------------------------
